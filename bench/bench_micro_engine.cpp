@@ -1,19 +1,24 @@
-// google-benchmark microbenchmarks of the discrete-event engine (event
-// queue + whole-simulation throughput), plus the scheduling-kernel sweep:
-// every backfilling policy on a high-load SDSC trace under both
+// google-benchmark microbenchmarks of the discrete-event engine (whole-
+// simulation throughput), plus the scheduling-kernel sweep: every
+// backfilling policy on a high-load SDSC trace under both
 // KernelMode::Incremental and KernelMode::Rebuild, with events/sec and
 // wall time written to BENCH_engine.json. The Rebuild lane is the
 // pre-kernel per-event-reconstruction behaviour, so the per-policy speedup
-// column is the before/after number for the incremental kernel.
+// column is the before/after number for the incremental kernel. A scaling
+// lane replays easy and fcfs at 50k / 200k / 800k jobs and records the cost
+// per event at each size; tools/perf_guard.py fails a report whose largest
+// size costs more than 1.2x its smallest per event.
 //
 // `ctest -L perf-smoke` (the golden-equivalence suite) is the gate that
 // makes these speedups meaningful: both lanes produce bit-identical
 // schedules, so the comparison is pure engine cost.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "check/check_config.hpp"
@@ -23,38 +28,12 @@
 #include "fed/router.hpp"
 #include "metrics/json.hpp"
 #include "obs/trace.hpp"
-#include "sim/event_queue.hpp"
-#include "util/rng.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
 
 using namespace sps;
 using sched::kernel::KernelMode;
-
-template <sim::QueueKind Kind>
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<Time> times(n);
-  for (auto& t : times) t = rng.uniformInt(0, 1000000);
-  for (auto _ : state) {
-    sim::EventQueue q(Kind);
-    for (std::size_t i = 0; i < n; ++i)
-      q.push(times[i], sim::EventType::Timer, i);
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueuePushPop<sim::QueueKind::BinaryHeap>)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000);
-BENCHMARK(BM_EventQueuePushPop<sim::QueueKind::Calendar>)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000);
 
 template <core::PolicyKind Kind>
 void BM_Simulation(benchmark::State& state) {
@@ -185,17 +164,10 @@ void runKernelSweep() {
   // cost of --timeline; the acceptance bound is <= 5%.
   core::SimulationOptions sampled;
   sampled.timeline.enabled = true;
-  // The rebuild lane is the pre-redesign configuration end to end: reference
-  // kernel structure AND the binary-heap event queue. Incremental lanes run
-  // the calendar queue (the default), so the speedup column prices the full
-  // hot-path overhaul, with golden equivalence pinning both axes at once.
-  core::SimulationOptions rebuildOptions;
-  rebuildOptions.sim.queueKind = sim::QueueKind::BinaryHeap;
-
   for (const auto& [label, policySpec] : policies) {
     const Lane reb =
         timeLane(trace, sched::withKernelMode(policySpec, KernelMode::Rebuild),
-                 repeats, rebuildOptions);
+                 repeats);
     const Lane inc = timeLane(
         trace, sched::withKernelMode(policySpec, KernelMode::Incremental),
         repeats);
@@ -287,6 +259,55 @@ void runKernelSweep() {
       std::cout << "  " << label << ": incremental " << inc.eventsPerSec
                 << " ev/s (" << bigTrace.jobs.size() << " jobs, "
                 << big.procs << " procs)\n";
+    }
+  }
+  // Scaling lane: the same high-load SDSC replay at 50k / 200k / 800k jobs
+  // (scaled by SPS_BENCH_JOBS / 8000 like every other lane). The cost per
+  // dispatched event must stay flat as the trace grows; perf_guard compares
+  // the largest size against the smallest within this one report, so host
+  // speed cancels out of the ratio. nsPerEvent times the event loop alone
+  // (Simulator::run on a constructed harness): construction and metrics
+  // collection are per-job costs whose per-event share moves with the
+  // allocator (arrays past glibc's mmap threshold are first-touched on
+  // every run), not with the event set.
+  for (const char* policyLabel : {"easy", "fcfs"}) {
+    core::PolicySpec scaleSpec;
+    scaleSpec.kind = policyLabel[0] == 'e' ? core::PolicyKind::Easy
+                                           : core::PolicyKind::Fcfs;
+    for (const std::size_t base : {50'000u, 200'000u, 800'000u}) {
+      const std::size_t scaleJobs = std::max<std::size_t>(
+          1, base * jobs / 8000);
+      auto scaleConfig = workload::sdscConfig(scaleJobs, 42);
+      scaleConfig.offeredLoad = 0.95;
+      const auto scaleTrace = workload::generateTrace(scaleConfig);
+      double loop = 0.0;  // fastest of the repeats
+      std::uint64_t events = 0;
+      for (int r = 0; r < repeats; ++r) {
+        core::SimulationHarness harness(scaleTrace, scaleSpec, {});
+        const auto t0 = std::chrono::steady_clock::now();
+        harness.simulator().run();
+        const auto t1 = std::chrono::steady_clock::now();
+        const double wall = std::chrono::duration<double>(t1 - t0).count();
+        if (r == 0 || wall < loop) loop = wall;
+        events = harness.finish().eventsProcessed;
+      }
+      const double nsPerEvent = loop * 1e9 / static_cast<double>(events);
+      const std::string label = std::string(policyLabel) + "@" +
+                                std::to_string(scaleJobs / 1000) + "k";
+      w.beginObject();
+      w.field("policy", label);
+      w.field("lane", "scaling");
+      w.field("scalingPolicy", policyLabel);
+      w.field("jobs", static_cast<std::uint64_t>(scaleJobs));
+      w.key("incremental").beginObject();
+      w.field("wallSeconds", loop);
+      w.field("eventsPerSec", static_cast<double>(events) / loop);
+      w.field("events", events);
+      w.endObject();
+      w.field("nsPerEvent", nsPerEvent);
+      w.endObject();
+      std::cout << "  " << label << ": " << nsPerEvent
+                << " ns/event in the loop (" << events << " events)\n";
     }
   }
   // Service-ingest lane: the same sweep trace pushed through the

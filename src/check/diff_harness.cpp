@@ -252,12 +252,6 @@ RunRecord runRecorded(const CheckConfig& checks, const FuzzCase& c,
   const auto policy = core::makePolicy(spec);
   std::optional<sched::DiskSwapOverhead> overhead;
   sim::Simulator::Config config;
-  // Cross the event-queue implementations with the kernel modes, so one
-  // diff pins both redesigned layers against their references: the rebuild
-  // lane runs the binary heap, the incremental lane the calendar queue.
-  config.queueKind = mode == KernelMode::Rebuild
-                         ? sim::QueueKind::BinaryHeap
-                         : sim::QueueKind::Calendar;
   if (c.overhead) {
     // Per-job costs are precomputed by id from the original trace; the
     // streamed lane assigns identical ids (stream order == trace order).

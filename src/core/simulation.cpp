@@ -7,26 +7,6 @@
 
 namespace sps::core {
 
-namespace {
-
-/// Resolve the effective simulator config: the unified `sim` member, with
-/// the deprecated flat fields still winning when a legacy caller set them.
-sim::SimulatorConfig effectiveSimConfig(const SimulationOptions& options) {
-  sim::SimulatorConfig config = options.sim;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  if (options.overhead != nullptr) config.overhead = options.overhead;
-  if (options.queueKind) config.queueKind = *options.queueKind;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  return config;
-}
-
-}  // namespace
-
 SimulationHarness::SimulationHarness(const workload::Trace& trace,
                                      const PolicySpec& spec,
                                      const SimulationOptions& options)
@@ -36,7 +16,7 @@ SimulationHarness::SimulationHarness(const workload::Trace& trace,
       recorder_(options.traceSink),
       traceSink_(options.traceSink),
       label_(policyLabel(spec)) {
-  sim::SimulatorConfig config = effectiveSimConfig(options);
+  sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
   simulator_.emplace(trace, *policy_, config);
   arm(options);
@@ -50,7 +30,7 @@ SimulationHarness::SimulationHarness(std::string traceName,
       recorder_(options.traceSink),
       traceSink_(options.traceSink),
       label_(policyLabel(spec)) {
-  sim::SimulatorConfig config = effectiveSimConfig(options);
+  sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
   simulator_.emplace(std::move(traceName), machineProcs, *policy_, config);
   arm(options);
@@ -109,8 +89,8 @@ metrics::RunStats runSimulation(JobSource& source, const PolicySpec& spec,
                             options);
   // Minimum-lookahead pump: advance to the instant before each job's
   // submit time, then ingest it — every event at the submit instant
-  // dispatches with the arrival already enqueued, which (with the
-  // arrivals-first event band) reproduces the batch order exactly.
+  // dispatches with the arrival already on the cursor, which (arrivals
+  // fire first at an instant) reproduces the batch order exactly.
   sim::Simulator& simulator = harness.simulator();
   while (std::optional<workload::Job> j = source.next()) {
     simulator.runUntil(j->submit - 1);

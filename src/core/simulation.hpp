@@ -46,25 +46,7 @@ using sched::policyKindName;
 using sched::policyLabel;
 
 struct SimulationOptions {
-  // The implicitly-generated special members touch the deprecated shims
-  // below; declare them defaulted under suppression so every TU that merely
-  // constructs or copies options does not warn — only real reads/writes of
-  // the shims do.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  SimulationOptions() = default;
-  SimulationOptions(const SimulationOptions&) = default;
-  SimulationOptions(SimulationOptions&&) = default;
-  SimulationOptions& operator=(const SimulationOptions&) = default;
-  SimulationOptions& operator=(SimulationOptions&&) = default;
-  ~SimulationOptions() = default;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-  /// The simulator-facing knobs (overhead model, event-queue kind), handed
+  /// The simulator-facing knobs (overhead model, recorder), handed
   /// to sim::Simulator unchanged — this is the one documented options
   /// struct flowing CLI -> Runner -> Simulator. The recorder slot is owned
   /// by the run and overwritten.
@@ -93,15 +75,6 @@ struct SimulationOptions {
   /// the run's checkers are armed, before the first dispatch — subscribe
   /// extra observers here (DiffHarness records transitions through it).
   std::function<void(sim::Simulator&)> instrument;
-
-  // Deprecated shims (one PR, per the PR-3 migration convention): these
-  // fields used to thread overhead/queueKind separately from
-  // sim::Simulator::Config. When set away from their defaults they still
-  // win over `sim`, so existing callers keep working for one release.
-  [[deprecated("set sim.overhead instead")]]
-  const sim::OverheadPolicy* overhead = nullptr;
-  [[deprecated("set sim.queueKind instead")]]
-  std::optional<sim::QueueKind> queueKind{};
 };
 
 /// A monotone stream of jobs for the streaming entry point. next() yields

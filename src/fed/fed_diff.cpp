@@ -25,26 +25,17 @@ using sched::kernel::KernelMode;
   return mode == KernelMode::Rebuild ? "rebuild" : "incremental";
 }
 
-/// The same kernel-mode / queue-kind crossing DiffHarness uses, so the
-/// federated lane keeps pinning both redesigned layers at once.
-[[nodiscard]] sim::QueueKind queueKindFor(KernelMode mode) {
-  return mode == KernelMode::Rebuild ? sim::QueueKind::BinaryHeap
-                                     : sim::QueueKind::Calendar;
-}
-
 /// One single-cluster batch run of a shard's induced trace, configured
 /// exactly as the federation configured that shard: same resolved spec,
-/// same queue kind, same oracle toggles, and — when the case models
-/// suspension cost — a DiskSwapOverhead over the shard trace, whose rows
-/// match the shard's grown-as-submitted copy id for id.
+/// same oracle toggles, and — when the case models suspension cost — a
+/// DiskSwapOverhead over the shard trace, whose rows match the shard's
+/// grown-as-submitted copy id for id.
 [[nodiscard]] metrics::RunStats runShardBatch(const FuzzCase& c,
                                               const core::PolicySpec& spec,
                                               const workload::Trace& shard,
-                                              KernelMode mode,
                                               const CheckConfig& checks) {
   std::optional<sched::DiskSwapOverhead> overhead;
   core::SimulationOptions options;
-  options.sim.queueKind = queueKindFor(mode);
   options.check = checks;
   if (c.overhead) {
     overhead.emplace(shard);
@@ -64,7 +55,6 @@ using sched::kernel::KernelMode;
   config.shards = c.fedShards;
   config.routingDelay = c.fedDelay;
   config.threads = threads;
-  config.queueKind = queueKindFor(mode);
   config.diskSwapOverhead = c.overhead;
   config.check = checks;
 
@@ -114,7 +104,7 @@ using sched::kernel::KernelMode;
     }
     metrics::RunStats batch;
     try {
-      batch = runShardBatch(c, spec, shardTraces[s], mode, checks);
+      batch = runShardBatch(c, spec, shardTraces[s], checks);
     } catch (const InvariantError& e) {
       std::ostringstream os;
       os << modeName(mode) << " shard " << s << " batch replay: " << e.what();

@@ -78,7 +78,6 @@ FleetStats Federation::run() {
   const std::size_t n = jobs.size();
 
   core::SimulationOptions shardOptions;
-  shardOptions.sim.queueKind = config_.queueKind;
   shardOptions.check = config_.check;
   shardOptions.timeline = config_.timeline;
 

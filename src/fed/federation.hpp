@@ -62,8 +62,6 @@ struct FederationConfig {
   std::size_t jobsPerEpoch = 4096;
   /// Worker threads for the shard pool (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Per-shard event-queue structure.
-  sim::QueueKind queueKind = sim::QueueKind::Calendar;
   /// Arm the 2 MB/s disk-swap suspension overhead model on every shard
   /// (built per shard over the shard's own stream, so per-job costs match
   /// the single-cluster replay bit for bit).

@@ -66,7 +66,6 @@ Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
       policy_(policy),
       config_(config),
       machine_(trace.machineProcs),
-      events_(config.queueKind),
       exec_(trace.jobs.size()),
       states_(trace.jobs.size(), JobState::NotArrived),
       owedRef_(trace.machineProcs, 0),
@@ -76,8 +75,6 @@ Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
   unfinished_ = static_cast<std::uint32_t>(trace_.jobs.size());
   firstSubmit_ = trace_.jobs.empty() ? 0 : trace_.jobs.front().submit;
   lastSubmit_ = trace_.jobs.empty() ? 0 : trace_.jobs.back().submit;
-  for (const workload::Job& j : trace_.jobs)
-    events_.push(j.submit, EventType::JobArrival, j.id);
 }
 
 namespace {
@@ -101,7 +98,6 @@ Simulator::Simulator(std::string traceName, std::uint32_t machineProcs,
       policy_(policy),
       config_(config),
       machine_(checkedMachineProcs(trace_.name, machineProcs)),
-      events_(config.queueKind),
       owedRef_(machineProcs, 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
 }
@@ -110,25 +106,26 @@ JobId Simulator::submit(workload::Job job) {
   SPS_CHECK_MSG(!finalized_, "submit() after drain()");
   job.id = static_cast<JobId>(trace_.jobs.size());
   {
-    std::ostringstream ctx;
-    ctx << "submit to '" << trace_.name << "' (job " << job.id << "): ";
-    if (job.runtime <= 0)
-      throw InputError(ctx.str() + "runtime must be positive");
+    // Formatted only on failure (see workload::validateTrace).
+    const auto fail = [&](const std::string& what) {
+      std::ostringstream ctx;
+      ctx << "submit to '" << trace_.name << "' (job " << job.id
+          << "): " << what;
+      throw InputError(ctx.str());
+    };
+    if (job.runtime <= 0) fail("runtime must be positive");
     if (job.estimate < job.runtime)
-      throw InputError(ctx.str() + "estimate below runtime (jobs are killed "
-                                   "at their wall-clock limit; clamp first)");
-    if (job.procs == 0) throw InputError(ctx.str() + "procs must be >= 1");
-    if (job.procs > trace_.machineProcs)
-      throw InputError(ctx.str() + "procs exceed machine size");
+      fail("estimate below runtime (jobs are killed at their wall-clock "
+           "limit; clamp first)");
+    if (job.procs == 0) fail("procs must be >= 1");
+    if (job.procs > trace_.machineProcs) fail("procs exceed machine size");
     if (job.submit < lastSubmit_ && !trace_.jobs.empty())
-      throw InputError(ctx.str() + "out-of-order submit time " +
-                       std::to_string(job.submit) + " (stream is at " +
-                       std::to_string(lastSubmit_) + ")");
+      fail("out-of-order submit time " + std::to_string(job.submit) +
+           " (stream is at " + std::to_string(lastSubmit_) + ")");
     if (job.submit < now_)
-      throw InputError(ctx.str() + "submit time " +
-                       std::to_string(job.submit) +
-                       " in the simulated past (clock is at " +
-                       std::to_string(now_) + ")");
+      fail("submit time " + std::to_string(job.submit) +
+           " in the simulated past (clock is at " + std::to_string(now_) +
+           ")");
   }
   if (trace_.jobs.empty()) firstSubmit_ = job.submit;
   if (job.submit > lastSubmit_) {
@@ -144,7 +141,6 @@ JobId Simulator::submit(workload::Job job) {
   listPos_.push_back(0);
   ++unfinished_;
   ++epoch_;  // trace contents are scheduler-visible state
-  events_.push(job.submit, EventType::JobArrival, job.id);
   return job.id;
 }
 
@@ -195,8 +191,21 @@ void Simulator::ensureStarted() {
   policy_.onSimulationStart(*this);
 }
 
+bool Simulator::arrivalIsNext() const {
+  return nextArrival_ < trace_.jobs.size() &&
+         (events_.empty() ||
+          trace_.jobs[nextArrival_].submit <= events_.nextTime());
+}
+
 void Simulator::dispatchOne() {
-  const Event e = events_.pop();
+  Event e;
+  if (arrivalIsNext()) {
+    e.time = trace_.jobs[nextArrival_].submit;
+    e.type = EventType::JobArrival;
+    e.payload = nextArrival_++;
+  } else {
+    e = events_.pop();
+  }
   SPS_CHECK_MSG(e.time >= now_, "event time " << e.time << " before now "
                                               << now_);
   if (!steadySnapshotTaken_ && e.time >= lastSubmit_) {
@@ -238,20 +247,20 @@ void Simulator::dispatchOne() {
 
 bool Simulator::step() {
   ensureStarted();
-  if (events_.empty()) return false;
+  if (!pending()) return false;
   dispatchOne();
   return true;
 }
 
 void Simulator::runUntil(Time horizon) {
   ensureStarted();
-  while (!events_.empty() && events_.nextTime() <= horizon) dispatchOne();
+  while (pending() && nextEventTime() <= horizon) dispatchOne();
 }
 
 void Simulator::drain() {
   if (finalized_) return;
   ensureStarted();
-  while (!events_.empty()) dispatchOne();
+  while (pending()) dispatchOne();
   SPS_CHECK_MSG(unfinished_ == 0,
                 unfinished_ << " jobs never finished — policy starved them");
   finalized_ = true;
@@ -264,6 +273,7 @@ void Simulator::run() {
 }
 
 Time Simulator::nextEventTime() const {
+  if (arrivalIsNext()) return trace_.jobs[nextArrival_].submit;
   return events_.empty() ? kNoTime : events_.nextTime();
 }
 

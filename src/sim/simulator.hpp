@@ -3,9 +3,13 @@
 //
 // Mechanics owned here, policy decisions delegated to SchedulingPolicy:
 //   * steppable event loop over arrivals, completions, suspend-drains, and
-//     timers (step / runUntil / drain; run() is the batch wrapper);
-//   * streaming ingest: submit() injects jobs after construction and
-//     cancelJob() withdraws pending ones, so an online driver
+//     timers (step / runUntil / drain; run() is the batch wrapper).
+//     Arrivals are read from the submit-sorted trace through a cursor and
+//     merged ahead of the EventQueue at equal times, so the queue holds
+//     only completions, drains and timers — O(running jobs), whatever the
+//     trace length;
+//   * streaming ingest: submit() appends jobs to the same trace the cursor
+//     reads and cancelJob() withdraws pending ones, so an online driver
 //     (core::SchedulerService) can feed the same core a live stream;
 //   * named-processor allocation (local preemption: a suspended job resumes
 //     on its exact original processors);
@@ -154,11 +158,6 @@ struct SimulatorConfig {
   /// sink wiring alive after the simulator is destroyed (core::Runner
   /// harvests through metrics::collect either way).
   obs::Recorder* recorder = nullptr;
-  /// Pending-event structure. Calendar (the default) and BinaryHeap pop
-  /// the identical (time, band, seq) order, so schedules are bit-identical
-  /// either way; the golden suite and the fuzzer pin one mode to each
-  /// kind to keep that claim continuously tested.
-  QueueKind queueKind = QueueKind::Calendar;
 };
 
 class Simulator {
@@ -181,13 +180,14 @@ class Simulator {
 
   // --- run loop ----------------------------------------------------------
   // The loop is steppable: between any two dispatched events the clock,
-  // event queue, job sets, observer channels, and every accessor below are
-  // all valid and mutually consistent ("paused state"). run() is literally
-  // runUntil(kTimeMax); drain();.
+  // arrival cursor, event queue, job sets, observer channels, and every
+  // accessor below are all valid and mutually consistent ("paused state").
+  // run() is literally runUntil(kTimeMax); drain();.
 
-  /// Dispatch the single earliest pending event. Returns false (and does
-  /// nothing) if none is pending. The first dispatch anywhere fires
-  /// SchedulingPolicy::onSimulationStart.
+  /// Dispatch the single earliest pending event: the cursor's arrival when
+  /// it is due no later than the queue's head, else the head. Returns false
+  /// (and does nothing) if none is pending. The first dispatch anywhere
+  /// fires SchedulingPolicy::onSimulationStart.
   bool step();
 
   /// Dispatch every event with time <= horizon. The clock only ever
@@ -204,7 +204,8 @@ class Simulator {
   /// Run to completion: runUntil(kTimeMax); drain();.
   void run();
 
-  /// Earliest pending event time, or kNoTime when the queue is empty.
+  /// Earliest pending time — the next arrival's submit time or the event
+  /// queue's head, whichever is earlier — or kNoTime when neither is left.
   [[nodiscard]] Time nextEventTime() const;
   /// True once drain() has finalized the run.
   [[nodiscard]] bool drained() const { return finalized_; }
@@ -394,7 +395,14 @@ class Simulator {
  private:
   /// Fire onSimulationStart exactly once, before the first dispatch.
   void ensureStarted();
-  /// Pop and dispatch the earliest event; requires a non-empty queue.
+  /// True while an arrival or a queued event is left to dispatch.
+  [[nodiscard]] bool pending() const {
+    return nextArrival_ < trace_.jobs.size() || !events_.empty();
+  }
+  /// True when the cursor's arrival fires before the queue's head: it is
+  /// due no later than the head, so arrivals win same-instant ties.
+  [[nodiscard]] bool arrivalIsNext() const;
+  /// Dispatch the earliest pending arrival or event; requires pending().
   void dispatchOne();
   void handleArrival(JobId id);
   void handleCompletion(JobId id, std::uint64_t generation);
@@ -417,7 +425,12 @@ class Simulator {
   SchedulingPolicy& policy_;
   Config config_;
   Machine machine_;
+  /// Completions, drains and timers: O(running jobs). Arrivals never enter
+  /// it; they are read from trace_.jobs at the cursor below.
   EventQueue events_;
+  /// Arrival cursor: trace_.jobs[nextArrival_] is the next job to arrive.
+  /// The jobs are sorted by submit time (validateTrace, monotone submit()).
+  std::size_t nextArrival_ = 0;
   std::vector<JobExec> exec_;
   /// SoA: per-job lifecycle state, one byte per job (see JobExec).
   std::vector<JobState> states_;

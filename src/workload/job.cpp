@@ -13,22 +13,23 @@ void validateTrace(const Trace& trace) {
   Time prevSubmit = std::numeric_limits<Time>::min();
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     const Job& j = trace.jobs[i];
-    std::ostringstream ctx;
-    ctx << "trace '" << trace.name << "' job index " << i << " (id " << j.id
-        << "): ";
-    if (j.id != static_cast<JobId>(i))
-      throw InputError(ctx.str() + "ids must be dense 0..n-1");
-    if (j.submit < prevSubmit)
-      throw InputError(ctx.str() + "jobs must be sorted by submit time");
-    if (j.runtime <= 0)
-      throw InputError(ctx.str() + "runtime must be positive");
+    // The message context is formatted only on failure: building it for
+    // every job made validation the largest cost of constructing a batch
+    // simulator.
+    const auto fail = [&](const char* what) {
+      std::ostringstream ctx;
+      ctx << "trace '" << trace.name << "' job index " << i << " (id " << j.id
+          << "): " << what;
+      throw InputError(ctx.str());
+    };
+    if (j.id != static_cast<JobId>(i)) fail("ids must be dense 0..n-1");
+    if (j.submit < prevSubmit) fail("jobs must be sorted by submit time");
+    if (j.runtime <= 0) fail("runtime must be positive");
     if (j.estimate < j.runtime)
-      throw InputError(ctx.str() + "estimate below runtime (jobs are killed "
-                                   "at their wall-clock limit; clamp first)");
-    if (j.procs == 0)
-      throw InputError(ctx.str() + "procs must be >= 1");
-    if (j.procs > trace.machineProcs)
-      throw InputError(ctx.str() + "procs exceed machine size");
+      fail("estimate below runtime (jobs are killed at their wall-clock "
+           "limit; clamp first)");
+    if (j.procs == 0) fail("procs must be >= 1");
+    if (j.procs > trace.machineProcs) fail("procs exceed machine size");
     prevSubmit = j.submit;
   }
 }

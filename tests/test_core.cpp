@@ -65,6 +65,22 @@ TEST(RunSimulation, DeterministicAcrossCalls) {
   EXPECT_EQ(a.suspensions, b.suspensions);
 }
 
+// The flat overhead/queueKind fields of SimulationOptions were deprecated
+// in favour of `sim` and are now removed, as is the event-queue selector
+// itself (one queue remains). A revival would flip these to true.
+template <typename O>
+concept HasFlatOverhead = requires(O o) { o.overhead; };
+template <typename O>
+concept HasQueueSelector = requires(O o) { o.queueKind; };
+static_assert(!HasFlatOverhead<SimulationOptions>,
+              "SimulationOptions::overhead shim was removed; use sim.overhead");
+static_assert(!HasQueueSelector<SimulationOptions>,
+              "SimulationOptions::queueKind shim was removed");
+static_assert(!HasQueueSelector<sim::SimulatorConfig>,
+              "the simulator has one event queue; there is no kind to pick");
+static_assert(HasFlatOverhead<sim::SimulatorConfig>,
+              "sim.overhead is the one overhead knob");
+
 TEST(Experiment, BootstrapTssLimitsAreCalibrated) {
   const auto trace = workload::generateTrace(workload::sdscConfig(800, 5));
   const auto limits = bootstrapTssLimits(trace);

@@ -1,6 +1,9 @@
 // Unit tests: sim::EventQueue ordering semantics.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "sim/event_queue.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -86,67 +89,61 @@ TEST(EventQueue, RandomizedOrderIsNonDecreasing) {
 }
 
 // ---------------------------------------------------------------------------
-// Property suite: the calendar queue and the binary heap implement the SAME
-// total order (time, then insertion sequence). Every test below drives both
-// kinds through an identical operation sequence and requires identical pop
-// streams — the contract that lets simulations replay bit-identically
-// regardless of QueueKind.
+// Property suite: the queue pops the total order (time, then insertion
+// sequence). Every test below drives the queue and a sorted reference
+// through an identical operation sequence and requires identical pop
+// streams — the contract that lets simulations replay bit-identically.
 
-/// Drive both queue kinds through one scripted load and compare every pop.
+/// Drive the queue and a sorted (time, seq) reference through one scripted
+/// load and compare every pop.
 class QueuePair {
  public:
-  QueuePair() : cal_(QueueKind::Calendar), heap_(QueueKind::BinaryHeap) {}
-
   void push(Time t, EventType type, std::uint64_t payload,
             std::uint64_t gen = 0) {
-    cal_.push(t, type, payload, gen);
-    heap_.push(t, type, payload, gen);
+    queue_.push(t, type, payload, gen);
+    Event e;
+    e.time = t;
+    e.seq = pushed_++;
+    e.type = type;
+    e.payload = payload;
+    e.generation = gen;
+    reference_.emplace(std::make_pair(t, e.seq), e);
   }
 
   /// Pop one event from each and assert full equality (including seq, which
-  /// both façades assign identically from the push order).
+  /// the queue assigns in push order like the reference).
   Event popBoth() {
-    EXPECT_EQ(cal_.empty(), heap_.empty());
-    const Event c = cal_.pop();
-    const Event h = heap_.pop();
-    EXPECT_EQ(c.time, h.time);
-    EXPECT_EQ(c.seq, h.seq);
-    EXPECT_EQ(c.type, h.type);
-    EXPECT_EQ(c.payload, h.payload);
-    EXPECT_EQ(c.generation, h.generation);
-    EXPECT_EQ(cal_.nextTimeOrSentinel(), heap_.nextTimeOrSentinel());
-    return c;
+    EXPECT_EQ(queue_.empty(), reference_.empty());
+    EXPECT_EQ(queue_.size(), reference_.size());
+    const Event q = queue_.pop();
+    const Event r = reference_.begin()->second;
+    reference_.erase(reference_.begin());
+    EXPECT_EQ(q.time, r.time);
+    EXPECT_EQ(q.seq, r.seq);
+    EXPECT_EQ(q.type, r.type);
+    EXPECT_EQ(q.payload, r.payload);
+    EXPECT_EQ(q.generation, r.generation);
+    if (reference_.empty()) {
+      EXPECT_TRUE(queue_.empty());
+    } else {
+      EXPECT_EQ(queue_.nextTime(), reference_.begin()->first.first);
+    }
+    return q;
   }
 
   void drainBoth() {
-    while (!cal_.empty() || !heap_.empty()) popBoth();
-    EXPECT_TRUE(cal_.empty());
-    EXPECT_TRUE(heap_.empty());
+    while (!queue_.empty() || !reference_.empty()) popBoth();
   }
 
-  [[nodiscard]] bool empty() const { return cal_.empty() && heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return cal_.size(); }
+  [[nodiscard]] bool empty() const {
+    return queue_.empty() && reference_.empty();
+  }
 
  private:
-  // nextTime() requires non-empty; fold the empty case into a sentinel so
-  // popBoth can compare the successor state unconditionally.
-  struct Facade : EventQueue {
-    using EventQueue::EventQueue;
-    [[nodiscard]] Time nextTimeOrSentinel() const {
-      return empty() ? Time{-1} : nextTime();
-    }
-  };
-  Facade cal_;
-  Facade heap_;
+  EventQueue queue_;
+  std::map<std::pair<Time, std::uint64_t>, Event> reference_;
+  std::uint64_t pushed_ = 0;
 };
-
-TEST(EventQueueProperty, KindsAreExplicit) {
-  EventQueue cal(QueueKind::Calendar);
-  EventQueue heap(QueueKind::BinaryHeap);
-  EXPECT_EQ(cal.kind(), QueueKind::Calendar);
-  EXPECT_EQ(heap.kind(), QueueKind::BinaryHeap);
-  EXPECT_EQ(EventQueue{}.kind(), QueueKind::Calendar);
-}
 
 TEST(EventQueueProperty, RandomLoadPopsIdentically) {
   for (const std::uint64_t seed : {1u, 7u, 1234u, 987654u}) {
@@ -191,9 +188,7 @@ TEST(EventQueueProperty, InterleavedPushPopIdentical) {
 }
 
 TEST(EventQueueProperty, SameInstantBurstIsFifo) {
-  // A tick cascade: many events at one instant must fire in push order on
-  // BOTH kinds (the calendar binary-inserts into its live cursor bucket,
-  // the heap orders by seq — same answer required).
+  // A tick cascade: many events at one instant must fire in push order.
   QueuePair q;
   for (std::uint64_t i = 0; i < 200; ++i)
     q.push(777, EventType::JobArrival, i);
@@ -206,10 +201,10 @@ TEST(EventQueueProperty, SameInstantBurstIsFifo) {
 }
 
 TEST(EventQueueProperty, FarFutureEventsSurviveRebase) {
-  // Events far beyond the calendar ring's window (2048 x 64 s) land in the
-  // overflow list and are redistributed as the cursor advances. Spread
-  // events over many windows and verify the pop stream matches the heap
-  // throughout.
+  // Events spread over a horizon thousands of times wider than their
+  // near-term spacing (the shape a far-off reservation or long job gives)
+  // must all come back, in order, with the pop stream matching the
+  // reference throughout.
   QueuePair q;
   Rng rng(55);
   const Time window = 2048 * 64;
@@ -226,9 +221,8 @@ TEST(EventQueueProperty, FarFutureEventsSurviveRebase) {
 }
 
 TEST(EventQueueProperty, DrainThenPushBeforeOldCursor) {
-  // Regression shape: drain the queue completely, then push an event whose
-  // bucket precedes the stale cursor position. The calendar must re-anchor
-  // its window instead of serving from the dead cursor bucket.
+  // Drain the queue completely, then push an event far earlier than the
+  // last one popped: the queue keeps no position from before the drain.
   QueuePair q;
   q.push(100000, EventType::Timer, 1);
   EXPECT_EQ(q.popBoth().payload, 1u);
@@ -241,8 +235,8 @@ TEST(EventQueueProperty, DrainThenPushBeforeOldCursor) {
 }
 
 TEST(EventQueueProperty, RepeatedDrainRefillCycles) {
-  // Alternate full drains with refills at ever-later times — each cycle
-  // forces the calendar to re-anchor, and the streams must stay identical.
+  // Alternate full drains with refills at ever-later times; the streams
+  // must stay identical through every cycle.
   QueuePair q;
   Rng rng(321);
   Time base = 0;

@@ -2,12 +2,19 @@
 // suspension mechanics, overhead phases, invariant audits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "core/simulation.hpp"
 #include "helpers.hpp"
+#include "metrics/openmetrics.hpp"
 #include "sched/overhead.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
+#include "workload/synthetic.hpp"
 
 namespace sps::sim {
 namespace {
@@ -375,6 +382,164 @@ TEST(SimulatorOverhead, WaitAccruesDuringDrainAndSuspension) {
   Simulator s(trace, policy, config);
   s.run();
   EXPECT_EQ(s.exec(0).finish, 120);
+}
+
+
+// --- arrival cursor / event queue merge --------------------------------------
+
+/// (time, type, payload) of every dispatched event, in dispatch order.
+using Dispatch = std::tuple<Time, EventType, std::uint64_t>;
+
+void recordDispatches(Simulator& s, std::vector<Dispatch>& out) {
+  s.observers().onEventDispatched([&out](const Simulator&, const Event& e) {
+    out.emplace_back(e.time, e.type, e.payload);
+  });
+}
+
+TEST(SimulatorArrivalCursor, ArrivalFiresBeforeCompletionAndTimerAtSameInstant) {
+  // Job 0 runs [0, 10) and arms a timer for 10; job 1 arrives at 10. The
+  // completion and the timer were queued long before the arrival's instant,
+  // yet the arrival dispatches first, then the queue in push order.
+  const auto trace = makeTrace(4, {{0, 10, 1}, {10, 5, 1}});
+  ScriptedPolicy policy;
+  policy.arrival = [](Simulator& s, JobId j) {
+    s.startJob(j);
+    if (j == 0) s.scheduleTimer(10, 77);
+  };
+  policy.completion = [](Simulator&, JobId) {};
+  Simulator s(trace, policy);
+  std::vector<Dispatch> seen;
+  recordDispatches(s, seen);
+  s.run();
+  const std::vector<Dispatch> expected = {
+      {0, EventType::JobArrival, 0},
+      {10, EventType::JobArrival, 1},
+      {10, EventType::JobCompletion, 0},
+      {10, EventType::Timer, 77},
+      {15, EventType::JobCompletion, 1},
+  };
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(s.eventsProcessed(), expected.size());
+}
+
+TEST(SimulatorArrivalCursor, ArrivalsAtOneInstantFireInIdOrder) {
+  const auto trace =
+      makeTrace(8, {{0, 10, 1}, {5, 10, 1}, {5, 10, 1}, {5, 10, 1}});
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  std::vector<Dispatch> seen;
+  recordDispatches(s, seen);
+  s.runUntil(5);
+  ASSERT_EQ(seen.size(), 4u);
+  for (std::uint64_t i = 1; i < 4; ++i)
+    EXPECT_EQ(seen[i], Dispatch(5, EventType::JobArrival, i));
+}
+
+TEST(SimulatorArrivalCursor, NotArrivedCancelStillDispatchesOneArrival) {
+  // A job cancelled before its arrival still costs one (no-op) arrival
+  // dispatch, in batch and streamed runs alike, so eventsProcessed and the
+  // sim.events counter match between the two shapes.
+  const auto trace = makeTrace(4, {{0, 10, 2}, {5, 10, 2}, {8, 10, 2}});
+  ScriptedPolicy batchPolicy;
+  Simulator batch(trace, batchPolicy);
+  std::vector<Dispatch> batchSeen;
+  recordDispatches(batch, batchSeen);
+  ASSERT_TRUE(batch.cancelJob(1));
+  batch.run();
+
+  ScriptedPolicy streamPolicy;
+  Simulator streamed("stream", 4, streamPolicy, {});
+  std::vector<Dispatch> streamSeen;
+  recordDispatches(streamed, streamSeen);
+  for (const workload::Job& j : trace.jobs) {
+    streamed.runUntil(j.submit - 1);
+    const JobId id = streamed.submit(j);
+    if (id == 1) {
+      ASSERT_TRUE(streamed.cancelJob(id));
+    }
+  }
+  streamed.drain();
+
+  // 3 arrivals (one a no-op) + 2 completions.
+  EXPECT_EQ(batch.eventsProcessed(), 5u);
+  EXPECT_EQ(streamed.eventsProcessed(), batch.eventsProcessed());
+  EXPECT_EQ(streamed.counters().value(obs::Counter::SimEvents),
+            batch.counters().value(obs::Counter::SimEvents));
+  EXPECT_EQ(streamSeen, batchSeen);
+  EXPECT_NE(std::find(batchSeen.begin(), batchSeen.end(),
+                      Dispatch(5, EventType::JobArrival, 1)),
+            batchSeen.end());
+  EXPECT_EQ(batch.state(1), JobState::Cancelled);
+  EXPECT_EQ(batch.exec(1).firstStart, kNoTime);
+}
+
+TEST(SimulatorArrivalCursor, NextEventTimeMergesCursorAndQueue) {
+  // Job 0 runs [0, 30); job 1 arrives at 50 and runs [50, 60).
+  const auto trace = makeTrace(4, {{0, 30, 1}, {50, 10, 1}});
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  EXPECT_EQ(s.nextEventTime(), 0);   // cursor only: queue empty
+  ASSERT_TRUE(s.step());             // arrival 0 starts; completion at 30
+  EXPECT_EQ(s.nextEventTime(), 30);  // both: queue ahead of cursor (50)
+  ASSERT_TRUE(s.step());             // completion at 30
+  EXPECT_EQ(s.nextEventTime(), 50);  // cursor only again
+  ASSERT_TRUE(s.step());             // arrival 1 starts; completion at 60
+  EXPECT_EQ(s.nextEventTime(), 60);  // queue only: cursor exhausted
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(s.nextEventTime(), kNoTime);  // neither
+  EXPECT_FALSE(s.step());
+  s.drain();
+}
+
+TEST(SimulatorArrivalCursor, NextEventTimeWhenCursorLeadsQueue) {
+  ScriptedPolicy policy;
+  Simulator s("stream", 2, policy, {});
+  EXPECT_EQ(s.nextEventTime(), kNoTime);  // neither: nothing submitted
+  workload::Job a;
+  a.runtime = a.estimate = 100;
+  a.procs = 1;
+  s.submit(a);
+  ASSERT_TRUE(s.step());  // arrival at 0; completion at 100
+  workload::Job b = a;
+  b.submit = 40;
+  s.submit(b);
+  EXPECT_EQ(s.nextEventTime(), 40);  // both: cursor ahead of queue
+  workload::Job c = a;
+  c.submit = 100;
+  s.submit(c);
+  s.runUntil(40);
+  EXPECT_EQ(s.nextEventTime(), 100);  // both, tied at one instant
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(s.now(), 100);
+  // The arrival went first: job 2 found both processors busy, and job 0's
+  // completion at the same instant is still pending.
+  EXPECT_EQ(s.state(2), JobState::Queued);
+  EXPECT_EQ(s.state(0), JobState::Running);
+  s.drain();
+  EXPECT_EQ(s.unfinishedJobs(), 0u);
+}
+
+TEST(SimulatorArrivalCursor, LongSdscEasyTraceStreamsBitIdentically) {
+  // A 100k-job SDSC trace at load 0.95 — the long-trace regime where the
+  // old event set held every future arrival. Batch and streamed replays
+  // must agree on every job and every counter.
+  auto config = workload::sdscConfig(100'000, 11);
+  config.offeredLoad = 0.95;
+  const workload::Trace trace = workload::generateTrace(config);
+  core::PolicySpec spec;
+  spec.kind = core::PolicyKind::Easy;
+  const metrics::RunStats batch = core::runSimulation(trace, spec);
+  core::TraceSource source(trace);
+  const metrics::RunStats streamed = core::runSimulation(source, spec);
+  ASSERT_EQ(batch.jobs.size(), trace.jobs.size());
+  ASSERT_EQ(streamed.jobs.size(), batch.jobs.size());
+  for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
+    ASSERT_EQ(streamed.jobs[i].firstStart, batch.jobs[i].firstStart) << i;
+    ASSERT_EQ(streamed.jobs[i].finish, batch.jobs[i].finish) << i;
+  }
+  EXPECT_EQ(streamed.eventsProcessed, batch.eventsProcessed);
+  EXPECT_EQ(streamed.eventsProcessed, 2 * trace.jobs.size());
+  EXPECT_EQ(metrics::openMetrics(streamed), metrics::openMetrics(batch));
 }
 
 }  // namespace

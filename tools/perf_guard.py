@@ -8,14 +8,20 @@ events/s falls more than the tolerance below the baseline's — 20% by
 default, chosen well above the ~10% run-to-run noise of the sweep so the
 guard only trips on genuine regressions, not scheduler jitter.
 
+It also checks that the candidate's cost per event stays flat as the trace
+grows: within each policy of the scaling lane ("lane": "scaling"), the
+largest trace may cost at most 1.2x the smallest per event. Both numbers
+come from the same report, so host speed cancels out of the ratio.
+
 Usage:
   perf_guard.py --baseline BENCH_engine.json --candidate new.json
   perf_guard.py --selftest
 
-Exit status: 0 when every lane holds (or improves), 1 on any regression or
-malformed report. Lanes present in only one report are reported but do not
-fail the guard (the benchmark may grow lanes; the baseline catches up when
-it is next regenerated).
+Exit status: 0 when every lane holds (or improves) and the scaling lane is
+flat, 1 on any regression, superlinear scaling or malformed report. Lanes
+present in only one report are reported but do not fail the guard (the
+benchmark may grow lanes; the baseline catches up when it is next
+regenerated).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.20
+SCALING_LIMIT = 1.20
 
 
 def lanes(report: dict) -> dict[str, float]:
@@ -66,6 +73,41 @@ def compare(baseline: dict, candidate: dict,
                 f"baseline {rate:,.0f})")
     for name in sorted(set(cand) - set(base)):
         print(f"note: new lane '{name}' has no baseline (not checked)")
+    return failures + scaling_failures(candidate)
+
+
+def scaling_failures(report: dict) -> list[str]:
+    """Flatness check within one report: for each policy of the scaling
+    lane, ns/event at the largest trace over ns/event at the smallest must
+    not exceed SCALING_LIMIT. Policies measured at fewer than two sizes are
+    skipped; a report without a scaling lane passes (older baselines)."""
+    sizes: dict[str, list[tuple[int, float]]] = {}
+    for entry in report.get("policies", []):
+        if entry.get("lane") != "scaling":
+            continue
+        policy = entry.get("scalingPolicy")
+        jobs = entry.get("jobs")
+        ns = entry.get("nsPerEvent")
+        if isinstance(policy, str) and isinstance(jobs, int) and \
+                isinstance(ns, (int, float)) and ns > 0:
+            sizes.setdefault(policy, []).append((jobs, float(ns)))
+    failures = []
+    for policy, points in sorted(sizes.items()):
+        if len(points) < 2:
+            continue
+        points.sort()
+        (small_jobs, small_ns), (big_jobs, big_ns) = points[0], points[-1]
+        ratio = big_ns / small_ns
+        verdict = "ok" if ratio <= SCALING_LIMIT else "SUPERLINEAR"
+        print(f"scaling {policy}: {small_ns:,.0f} ns/event at {small_jobs:,} "
+              f"jobs, {big_ns:,.0f} at {big_jobs:,} ({ratio:.2f}x, limit "
+              f"{SCALING_LIMIT:.2f}x, {verdict})")
+        if ratio > SCALING_LIMIT:
+            failures.append(
+                f"scaling lane '{policy}' is superlinear: {big_ns:,.0f} "
+                f"ns/event at {big_jobs:,} jobs is {ratio:.2f}x the "
+                f"{small_ns:,.0f} at {small_jobs:,} "
+                f"(limit {SCALING_LIMIT:.2f}x)")
     return failures
 
 
@@ -98,6 +140,45 @@ def selftest() -> int:
     # Empty baseline is always a failure.
     if len(compare({"policies": []}, base)) != 1:
         print("selftest [empty baseline]: FAIL")
+        ok = False
+
+    def scaling(curves: dict[str, list[tuple[int, float]]]) -> dict:
+        return {"policies": [
+            {"policy": f"{p}@{jobs // 1000}k", "lane": "scaling",
+             "scalingPolicy": p, "jobs": jobs, "nsPerEvent": ns,
+             "incremental": {"eventsPerSec": 1e9 / ns}}
+            for p, points in curves.items() for jobs, ns in points]}
+
+    scaling_cases = [
+        # (report, expect_failures, label)
+        (scaling({"easy": [(50_000, 500.0), (200_000, 520.0),
+                           (800_000, 540.0)]}), 0, "flat"),
+        (scaling({"easy": [(800_000, 595.0), (50_000, 500.0)]}), 0,
+         "1.19x, unsorted sizes"),
+        (scaling({"easy": [(50_000, 500.0), (800_000, 650.0)],
+                  "fcfs": [(50_000, 300.0), (800_000, 310.0)]}), 1,
+         "easy superlinear"),
+        (scaling({"easy": [(50_000, 500.0), (200_000, 900.0),
+                           (800_000, 2_000.0)],
+                  "fcfs": [(50_000, 300.0), (800_000, 1_200.0)]}), 2,
+         "both superlinear"),
+        (scaling({"easy": [(800_000, 900.0)]}), 0, "one size (skipped)"),
+        (base, 0, "no scaling lane"),
+    ]
+    for candidate, expected, label in scaling_cases:
+        got = len(scaling_failures(candidate))
+        status = "pass" if got == expected else "FAIL"
+        if got != expected:
+            ok = False
+        print(f"selftest [scaling: {label}]: expected {expected} "
+              f"failure(s), got {got} — {status}")
+    # A superlinear curve fails the full guard even when every lane holds
+    # against the baseline.
+    superlinear = scaling({"easy": [(50_000, 500.0), (800_000, 700.0)]})
+    got = len(compare(superlinear, superlinear))
+    print(f"selftest [scaling through compare]: expected 1 failure(s), "
+          f"got {got} — {'pass' if got == 1 else 'FAIL'}")
+    if got != 1:
         ok = False
     print("selftest:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
