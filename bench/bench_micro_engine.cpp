@@ -7,7 +7,9 @@
 // column is the before/after number for the incremental kernel. A scaling
 // lane replays easy and fcfs at 50k / 200k / 800k jobs and records the cost
 // per event at each size; tools/perf_guard.py fails a report whose largest
-// size costs more than 1.2x its smallest per event.
+// size costs more than 1.2x its smallest per event. A "host" block (CPU
+// model, nproc, compiler, build type) records where the numbers were taken;
+// perf_guard.py prints both reports' hosts beside any lane it flags.
 //
 // `ctest -L perf-smoke` (the golden-equivalence suite) is the gate that
 // makes these speedups meaningful: both lanes produce bit-identical
@@ -19,6 +21,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "check/check_config.hpp"
@@ -79,6 +83,32 @@ Lane timeLane(const workload::Trace& trace, const core::PolicySpec& spec,
     }
   }
   return best;
+}
+
+/// CPU model from /proc/cpuinfo ("unknown" where it is not readable).
+std::string cpuModel() {
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
+/// The report's "host" block: what a wall-clock number depends on beyond
+/// the code, so a comparison across hosts can be told from a regression.
+void writeHost(metrics::JsonWriter& w) {
+  w.key("host").beginObject();
+  w.field("cpuModel", cpuModel());
+  w.field("nproc",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  w.field("compiler", SPS_BENCH_COMPILER);
+  w.field("buildType", std::string_view(SPS_BENCH_BUILD_TYPE).empty()
+                           ? "unspecified"
+                           : SPS_BENCH_BUILD_TYPE);
+  w.endObject();
 }
 
 std::size_t sweepJobs() {
@@ -143,6 +173,7 @@ void runKernelSweep() {
   metrics::JsonWriter w(out);
   w.beginObject();
   w.field("bench", "engine_kernel_sweep");
+  writeHost(w);
   w.key("trace").beginObject();
   w.field("kind", "sdsc");
   w.field("jobs", static_cast<std::uint64_t>(jobs));

@@ -68,13 +68,14 @@ int main() {
             << util::ThreadPool::defaultThreadCount() << "\n\n";
 
   std::vector<Lane> lanes;
-  lanes.push_back({.threads = 1});
+  lanes.push_back({.threads = 1, .seconds = 0.0, .points = {}});
   std::size_t parallelThreads = 8;
   if (const char* env = std::getenv("SPS_BENCH_THREADS")) {
     const long v = std::atol(env);
     if (v > 0) parallelThreads = static_cast<std::size_t>(v);
   }
-  lanes.push_back({.threads = parallelThreads});
+  lanes.push_back(
+      {.threads = parallelThreads, .seconds = 0.0, .points = {}});
 
   for (Lane& lane : lanes) {
     std::cerr << "running sweep with " << lane.threads << " thread(s)...\n";

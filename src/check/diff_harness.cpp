@@ -345,7 +345,7 @@ DiffOutcome DiffHarness::diffStreamed(const FuzzCase& c,
     }
     out.divergence = diffRecords(streamed, batch, "streamed", "batch");
     if (!out.divergence.empty()) {
-      out.divergence = "[" + std::string(lane) + "] " + out.divergence;
+      out.divergence.insert(0, std::string("[").append(lane).append("] "));
       return out;
     }
   }

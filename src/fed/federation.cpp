@@ -31,8 +31,9 @@ using PendingQueue =
                         std::greater<PendingJob>>;
 
 /// One cluster: harness + the grown-as-submitted trace copy that backs the
-/// shard's id-keyed overhead model. Heap-allocated so the overhead model's
-/// Trace reference stays stable while the shard vector is built.
+/// shard's id-keyed overhead model (kept only when that model is armed).
+/// Heap-allocated so the overhead model's Trace reference stays stable
+/// while the shard vector is built.
 struct Shard {
   Shard(const std::string& name, std::uint32_t machineProcs,
         const core::PolicySpec& spec, const core::SimulationOptions& options,
@@ -179,8 +180,8 @@ FleetStats Federation::run() {
           simulator.runUntil(p.effSubmit - 1);
           workload::Job job = trace_.jobs[p.fleetId];
           job.submit = p.effSubmit;
-          job.id = static_cast<JobId>(shard.overheadTrace.jobs.size());
-          shard.overheadTrace.jobs.push_back(job);
+          job.id = static_cast<JobId>(simulator.trace().jobs.size());
+          if (shard.overhead) shard.overheadTrace.jobs.push_back(job);
           (void)simulator.submit(job);
         }
         if (epochEnd != kTimeMax) simulator.runUntil(epochEnd - 1);

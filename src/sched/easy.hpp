@@ -12,7 +12,18 @@
 // This is the paper's "No Suspension (NS)" baseline for every evaluation.
 // The shadow/extra computation lives in sched/core's BackfillEngine over a
 // ReservationLedger; this file keeps only the queue discipline and the
-// scan-restart loop.
+// backfill scan.
+//
+// One shadow per pass. EASY holds no reservations, so its profile is the
+// running jobs' believed remainders, a free-processor function that never
+// decreases over time (the zombie overlay lowers only [now, now + 1)).
+// Starting a backfilled job lowers it on [now, now + estimate) alone: the
+// shadow time stays where it was, and `extra` shrinks by the job's width
+// exactly when the job runs past the shadow. Free processors and `extra`
+// only shrink, so no candidate the scan already declined can become
+// startable, and the scan goes on from the next candidate instead of
+// restarting. The algorithm is the same in both kernel modes; KernelMode
+// only selects how the ledger maintains the profile.
 #pragma once
 
 #include <vector>
@@ -71,13 +82,25 @@ class EasyBackfill final : public sim::SchedulingPolicy {
   }
 
  private:
+  /// A queued job with its width, so the scan rejects candidates wider
+  /// than the free processors without looking the job up.
+  struct Entry {
+    JobId id;
+    std::uint32_t procs;
+  };
+
   void schedulePass(sim::Simulator& simulator);
-  void enqueue(const sim::Simulator& simulator, JobId job);
+  /// Insert `job` in queue order; returns its index.
+  std::size_t enqueue(const sim::Simulator& simulator, JobId job);
+  /// Start a backfill candidate that passed canBackfill, keeping `shadow`
+  /// current: `extra` shrinks when the job runs past the shadow time.
+  void startBackfill(sim::Simulator& simulator, const Entry& entry,
+                     kernel::BackfillEngine::Shadow& shadow);
 
   EasyConfig config_;
   kernel::ReservationLedger ledger_;
   kernel::BackfillEngine engine_{ledger_};
-  std::vector<JobId> queue_;  ///< FCFS or shortest-first, per config
+  std::vector<Entry> queue_;  ///< FCFS or shortest-first, per config
   std::uint64_t backfills_ = 0;
 };
 

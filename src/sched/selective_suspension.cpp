@@ -894,7 +894,7 @@ void SelectiveSuspension::preemptionPassIncremental(
   // Reach class: highest width-band rank whose band.min the candidate's
   // doubled width covers. Identical to testing 2 x width < band.min per
   // category — a rank-q band is excluded exactly when q > reach.
-  auto reachOf = [&](std::uint32_t width) -> int {
+  auto reachOf = [&](std::uint32_t width) -> std::size_t {
     if (!config_.halfWidthRule) return 3;
     const std::uint32_t w2 = 2 * width;
     if (w2 >= workload::kWideMax + 1) return 3;
@@ -902,14 +902,16 @@ void SelectiveSuspension::preemptionPassIncremental(
     if (w2 >= workload::kSequentialMax + 1) return 1;
     return 0;
   };
-  auto computeReach = [&](int reach) {
+  auto computeReach = [&](std::size_t reach) {
     double xn = std::numeric_limits<double>::infinity();
     std::uint32_t excl = 0;
     for (std::size_t cat = 0; cat < kernel::VictimIndex::kCategories; ++cat) {
       const CatCursor& cc = cursors[cat];
       const auto& vec = victimIndex_.category(cat);
       if (vec.empty()) continue;
-      if (static_cast<int>(workload::widthClassOfCategory(cat)) > reach) {
+      const auto rank =
+          static_cast<std::size_t>(workload::widthClassOfCategory(cat));
+      if (rank > reach) {
         excl += cc.gain;  // band too wide to reach: no gain, no wake-up
         continue;
       }
@@ -1030,7 +1032,7 @@ void SelectiveSuspension::preemptionPassIncremental(
         advanceCursors(priority);
         cursorsMoved();
       }
-      const int reach = reachOf(width);
+      const std::size_t reach = reachOf(width);
       if (!reachValid[reach]) computeReach(reach);
       const std::uint32_t bound = boundTotal - exclByReach[reach];
       const double xNext = xNextByReach[reach];

@@ -201,7 +201,8 @@ SyntheticConfig scaledToMachine(SyntheticConfig cfg,
                                 std::uint32_t machineProcs) {
   SPS_CHECK_MSG(machineProcs > kWideMax,
                 "machine must be wider than the Wide/VeryWide boundary");
-  cfg.name += "@" + std::to_string(machineProcs);
+  cfg.name += '@';
+  cfg.name += std::to_string(machineProcs);
   cfg.machineProcs = machineProcs;
   cfg.scaleWidthBands = true;
   return cfg;

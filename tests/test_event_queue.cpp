@@ -158,7 +158,9 @@ TEST(EventQueueProperty, RandomLoadPopsIdentically) {
       const Event e = q.popBoth();
       // Non-decreasing time; strictly increasing seq within a timestamp.
       EXPECT_GE(e.time, prev);
-      if (e.time == prev) EXPECT_GT(e.seq, prevSeq);
+      if (e.time == prev) {
+        EXPECT_GT(e.seq, prevSeq);
+      }
       prev = e.time;
       prevSeq = e.seq;
     }
@@ -177,11 +179,12 @@ TEST(EventQueueProperty, InterleavedPushPopIdentical) {
   for (int step = 0; step < 4000 && !q.empty(); ++step) {
     const Event e = q.popBoth();
     now = e.time;
-    const int follow = rng.uniformInt(0, 3);
-    for (int f = 0; f < follow; ++f) {
+    const std::int64_t follow = rng.uniformInt(0, 3);
+    for (std::int64_t f = 0; f < follow; ++f) {
       const Time at = now + rng.uniformInt(0, 300);
       const auto type = static_cast<EventType>(rng.uniformInt(0, 3));
-      q.push(at, type, payload++, rng.uniformInt(0, 2));
+      q.push(at, type, payload++,
+             static_cast<std::uint64_t>(rng.uniformInt(0, 2)));
     }
   }
   q.drainBoth();
@@ -241,8 +244,8 @@ TEST(EventQueueProperty, RepeatedDrainRefillCycles) {
   Rng rng(321);
   Time base = 0;
   for (int cycle = 0; cycle < 30; ++cycle) {
-    const int n = rng.uniformInt(1, 40);
-    for (int i = 0; i < n; ++i)
+    const std::int64_t n = rng.uniformInt(1, 40);
+    for (std::int64_t i = 0; i < n; ++i)
       q.push(base + rng.uniformInt(0, 5000), EventType::SuspendDrained,
              static_cast<std::uint64_t>(cycle * 1000 + i));
     q.drainBoth();

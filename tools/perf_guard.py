@@ -17,6 +17,11 @@ Usage:
   perf_guard.py --baseline BENCH_engine.json --candidate new.json
   perf_guard.py --selftest
 
+Wall-clock numbers depend on the host as much as on the code. Reports carry
+a "host" block (CPU model, nproc, compiler, build type); each failure the
+guard reports names the hosts of the reports it compared, so a comparison
+across hosts is visible as one. The host never changes a verdict.
+
 Exit status: 0 when every lane holds (or improves) and the scaling lane is
 flat, 1 on any regression, superlinear scaling or malformed report. Lanes
 present in only one report are reported but do not fail the guard (the
@@ -47,6 +52,22 @@ def lanes(report: dict) -> dict[str, float]:
     return out
 
 
+def host_label(report: dict) -> str:
+    """One-line description of the host a report was measured on."""
+    host = report.get("host")
+    if not isinstance(host, dict):
+        return "unrecorded"
+    return (f"{host.get('cpuModel', '?')}, {host.get('nproc', '?')} cpus, "
+            f"{host.get('compiler', '?')}, {host.get('buildType', '?')}")
+
+
+def hosts_note(baseline: dict, candidate: dict) -> str:
+    """The hosts printed beside a lane flagged against the baseline."""
+    base, cand = host_label(baseline), host_label(candidate)
+    same = "same host" if base == cand else "DIFFERENT hosts"
+    return f"baseline host: {base}; candidate host: {cand} ({same})"
+
+
 def compare(baseline: dict, candidate: dict,
             tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
     """Return a list of human-readable regression messages (empty = pass)."""
@@ -70,7 +91,7 @@ def compare(baseline: dict, candidate: dict,
             failures.append(
                 f"lane '{name}' regressed: {got:,.0f} ev/s < floor "
                 f"{floor:,.0f} ev/s ({(1 - got / rate) * 100:.1f}% below "
-                f"baseline {rate:,.0f})")
+                f"baseline {rate:,.0f}; {hosts_note(baseline, candidate)})")
     for name in sorted(set(cand) - set(base)):
         print(f"note: new lane '{name}' has no baseline (not checked)")
     return failures + scaling_failures(candidate)
@@ -107,7 +128,7 @@ def scaling_failures(report: dict) -> list[str]:
                 f"scaling lane '{policy}' is superlinear: {big_ns:,.0f} "
                 f"ns/event at {big_jobs:,} jobs is {ratio:.2f}x the "
                 f"{small_ns:,.0f} at {small_jobs:,} "
-                f"(limit {SCALING_LIMIT:.2f}x)")
+                f"(limit {SCALING_LIMIT:.2f}x; host: {host_label(report)})")
     return failures
 
 
@@ -172,6 +193,30 @@ def selftest() -> int:
             ok = False
         print(f"selftest [scaling: {label}]: expected {expected} "
               f"failure(s), got {got} — {status}")
+    # A flagged lane names both hosts; the host never changes a verdict.
+    def with_host(rep: dict, cpu: str) -> dict:
+        return dict(rep, host={"cpuModel": cpu, "nproc": 4,
+                               "compiler": "GNU 12.2.0",
+                               "buildType": "Release"})
+
+    host_cases = [
+        # (baseline, candidate, expected substrings of the one failure)
+        (with_host(base, "Xeon A"),
+         with_host(report({"fcfs": 700_000.0, "ss": 200_000.0}), "EPYC B"),
+         ["baseline host: Xeon A, 4 cpus, GNU 12.2.0, Release",
+          "candidate host: EPYC B, 4 cpus", "DIFFERENT hosts"]),
+        (with_host(base, "Xeon A"),
+         with_host(report({"fcfs": 700_000.0, "ss": 200_000.0}), "Xeon A"),
+         ["candidate host: Xeon A", "same host"]),
+        (base, report({"fcfs": 700_000.0, "ss": 200_000.0}),
+         ["baseline host: unrecorded", "candidate host: unrecorded"]),
+    ]
+    for baseline, candidate, expected in host_cases:
+        failures = compare(baseline, candidate)
+        good = len(failures) == 1 and all(e in failures[0] for e in expected)
+        print(f"selftest [hosts: {expected[-1]}]: "
+              f"{'pass' if good else 'FAIL'}")
+        ok = ok and good
     # A superlinear curve fails the full guard even when every lane holds
     # against the baseline.
     superlinear = scaling({"easy": [(50_000, 500.0), (800_000, 700.0)]})
