@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks of the discrete-event engine (whole-
 // simulation throughput), plus the scheduling-kernel sweep: every
-// backfilling policy on a high-load SDSC trace under both
-// KernelMode::Incremental and KernelMode::Rebuild, with events/sec and
-// wall time written to BENCH_engine.json. The Rebuild lane is the
-// pre-kernel per-event-reconstruction behaviour, so the per-policy speedup
-// column is the before/after number for the incremental kernel. A scaling
+// backfilling and preemptive policy on a high-load SDSC trace, once as the
+// production class ("incremental") and once as its check::referencePolicy
+// ("rebuild": the per-event-reconstruction shape), with events/sec and
+// wall time written to BENCH_engine.json. The per-policy speedup column is
+// the before/after number for the incremental kernel. A scaling
 // lane replays easy and fcfs at 50k / 200k / 800k jobs and records the cost
 // per event at each size; tools/perf_guard.py fails a report whose largest
 // size costs more than 1.2x its smallest per event. A "host" block (CPU
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "check/check_config.hpp"
+#include "check/reference/reference_policy.hpp"
 #include "core/scheduler_service.hpp"
 #include "core/simulation.hpp"
 #include "fed/federation.hpp"
@@ -37,7 +38,6 @@
 namespace {
 
 using namespace sps;
-using sched::kernel::KernelMode;
 
 template <core::PolicyKind Kind>
 void BM_Simulation(benchmark::State& state) {
@@ -68,11 +68,13 @@ struct Lane {
 };
 
 Lane timeLane(const workload::Trace& trace, const core::PolicySpec& spec,
-              int repeats, const core::SimulationOptions& options = {}) {
+              int repeats, const core::SimulationOptions& options = {},
+              check::Lane lane = check::Lane::Production) {
   Lane best;
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    const metrics::RunStats stats = core::runSimulation(trace, spec, options);
+    const metrics::RunStats stats =
+        core::runSimulation(trace, check::lanePolicy(spec, lane), options);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
     if (r == 0 || wall < best.wallSeconds) {
@@ -197,17 +199,10 @@ void runKernelSweep() {
   sampled.timeline.enabled = true;
   for (const auto& [label, policySpec] : policies) {
     const Lane reb =
-        timeLane(trace, sched::withKernelMode(policySpec, KernelMode::Rebuild),
-                 repeats);
-    const Lane inc = timeLane(
-        trace, sched::withKernelMode(policySpec, KernelMode::Incremental),
-        repeats);
-    const Lane chk = timeLane(
-        trace, sched::withKernelMode(policySpec, KernelMode::Incremental),
-        repeats, checked);
-    const Lane tl = timeLane(
-        trace, sched::withKernelMode(policySpec, KernelMode::Incremental),
-        repeats, sampled);
+        timeLane(trace, policySpec, repeats, {}, check::Lane::Reference);
+    const Lane inc = timeLane(trace, policySpec, repeats);
+    const Lane chk = timeLane(trace, policySpec, repeats, checked);
+    const Lane tl = timeLane(trace, policySpec, repeats, sampled);
     const double speedup = inc.eventsPerSec / reb.eventsPerSec;
     const double checkOverhead = inc.eventsPerSec / chk.eventsPerSec;
     const double timelineOverhead = inc.eventsPerSec / tl.eventsPerSec;
@@ -272,9 +267,7 @@ void runKernelSweep() {
       bigSpec.kind = policyLabel[0] == 'f'
                          ? core::PolicyKind::Fcfs
                          : core::PolicyKind::SelectiveSuspension;
-      const Lane inc = timeLane(
-          bigTrace, sched::withKernelMode(bigSpec, KernelMode::Incremental),
-          repeats);
+      const Lane inc = timeLane(bigTrace, bigSpec, repeats);
       const std::string label = std::string(policyLabel) + "@" + big.label;
       w.beginObject();
       w.field("policy", label);
@@ -415,7 +408,6 @@ void runKernelSweep() {
 
     core::PolicySpec fleetSpec;
     fleetSpec.kind = core::PolicyKind::Easy;
-    fleetSpec = sched::withKernelMode(fleetSpec, KernelMode::Incremental);
 
     Lane fedLane;
     std::uint64_t epochs = 0;

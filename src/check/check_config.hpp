@@ -35,15 +35,16 @@ struct CheckConfig {
   /// protection limit — the tunable guarantee of Section IV-E.
   bool tssBound = false;
 
-  /// Ledger/profile consistency: the ReservationLedger's incrementally-
+  /// Kernel-index consistency: the ReservationLedger's incrementally-
   /// maintained AvailabilityProfile matches a from-scratch rebuild at
   /// sampled epochs, and its running layer matches the simulator's running
-  /// set exactly.
+  /// set exactly; the PriorityIndex of SS/TSS and IS tracks exactly the
+  /// idle set, in the order a fresh sort gives while its horizon holds.
   bool ledger = false;
 
-  /// Stride for the sampled audits (ledger rebuild comparison and the
-  /// guarantee poll): run them on every auditStride-th dispatched event.
-  /// 1 = every event (what the fuzzer and the test suites use); the CLI
+  /// Stride for the sampled audits (ledger rebuild comparison, index audit
+  /// and the guarantee poll): run them on every auditStride-th dispatched
+  /// event. 1 = every event (what the fuzzer and the test suites use); the CLI
   /// default keeps the oracle affordable on long traces.
   std::uint32_t auditStride = 16;
 

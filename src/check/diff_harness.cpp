@@ -22,8 +22,6 @@ namespace sps::check {
 
 namespace {
 
-using sched::kernel::KernelMode;
-
 std::string describeTransition(const std::tuple<Time, JobId, int, int>& t) {
   std::ostringstream os;
   os << "t=" << std::get<0>(t) << " job=" << std::get<1>(t) << " "
@@ -31,35 +29,35 @@ std::string describeTransition(const std::tuple<Time, JobId, int, int>& t) {
   return os.str();
 }
 
-std::string diffRecords(const RunRecord& inc, const RunRecord& reb,
-                        const char* lhs = "incremental",
-                        const char* rhs = "rebuild") {
-  const std::size_t n = std::min(inc.transitions.size(),
-                                 reb.transitions.size());
+std::string diffRecords(const RunRecord& a, const RunRecord& b,
+                        const char* lhs = "production",
+                        const char* rhs = "reference") {
+  const std::size_t n = std::min(a.transitions.size(),
+                                 b.transitions.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (inc.transitions[i] == reb.transitions[i]) continue;
+    if (a.transitions[i] == b.transitions[i]) continue;
     std::ostringstream os;
     os << "schedules diverge at transition " << i << ": " << lhs << " ("
-       << describeTransition(inc.transitions[i]) << ") vs " << rhs << " ("
-       << describeTransition(reb.transitions[i]) << ")";
+       << describeTransition(a.transitions[i]) << ") vs " << rhs << " ("
+       << describeTransition(b.transitions[i]) << ")";
     return os.str();
   }
-  if (inc.transitions.size() != reb.transitions.size()) {
+  if (a.transitions.size() != b.transitions.size()) {
     std::ostringstream os;
-    os << "transition counts differ: " << lhs << " " << inc.transitions.size()
-       << " vs " << rhs << " " << reb.transitions.size();
+    os << "transition counts differ: " << lhs << " " << a.transitions.size()
+       << " vs " << rhs << " " << b.transitions.size();
     return os.str();
   }
-  for (std::size_t id = 0; id < inc.firstStart.size(); ++id) {
-    if (inc.firstStart[id] != reb.firstStart[id] ||
-        inc.finish[id] != reb.finish[id] ||
-        inc.suspendCount[id] != reb.suspendCount[id]) {
+  for (std::size_t id = 0; id < a.firstStart.size(); ++id) {
+    if (a.firstStart[id] != b.firstStart[id] ||
+        a.finish[id] != b.finish[id] ||
+        a.suspendCount[id] != b.suspendCount[id]) {
       std::ostringstream os;
       os << "per-job records diverge for job " << id << ": " << lhs
-         << " (start " << inc.firstStart[id] << ", finish " << inc.finish[id]
-         << ", " << inc.suspendCount[id] << " suspensions) vs " << rhs
-         << " (start " << reb.firstStart[id] << ", finish " << reb.finish[id]
-         << ", " << reb.suspendCount[id] << " suspensions)";
+         << " (start " << a.firstStart[id] << ", finish " << a.finish[id]
+         << ", " << a.suspendCount[id] << " suspensions) vs " << rhs
+         << " (start " << b.firstStart[id] << ", finish " << b.finish[id]
+         << ", " << b.suspendCount[id] << " suspensions)";
       return os.str();
     }
   }
@@ -84,8 +82,8 @@ workload::Job makeJob(Time submit, Time runtime, std::uint32_t procs,
 /// so this shape runs on the larger machines.
 workload::Trace cornerSynthetic(Rng& rng, std::size_t jobs) {
   // The paper-scale machines plus two scale-out sizes that force ProcSet's
-  // windowed large-set mode (procs >= 1024) through every policy and both
-  // kernel modes.
+  // windowed large-set mode (procs >= 1024) through every policy in both
+  // lanes.
   static constexpr std::uint32_t kMachines[] = {64,   100,  128,
                                                 430,  4096, 65'536};
   workload::SyntheticConfig cfg;
@@ -245,11 +243,9 @@ namespace {
 /// arm the oracle and the transition recorder, run `drive`, harvest.
 template <typename Drive>
 RunRecord runRecorded(const CheckConfig& checks, const FuzzCase& c,
-                      KernelMode mode, bool streamed, Drive&& drive,
+                      Lane lane, bool streamed, Drive&& drive,
                       std::string* violation) {
-  const core::PolicySpec spec =
-      sched::withKernelMode(resolveCaseSpec(c), mode);
-  const auto policy = core::makePolicy(spec);
+  const auto policy = lanePolicy(resolveCaseSpec(c), lane);
   std::optional<sched::DiskSwapOverhead> overhead;
   sim::Simulator::Config config;
   if (c.overhead) {
@@ -289,18 +285,18 @@ RunRecord runRecorded(const CheckConfig& checks, const FuzzCase& c,
 
 }  // namespace
 
-RunRecord DiffHarness::runOnce(const FuzzCase& c, KernelMode mode,
+RunRecord DiffHarness::runOnce(const FuzzCase& c, Lane lane,
                                std::string* violation) const {
   return runRecorded(
-      checks_, c, mode, /*streamed=*/false,
+      checks_, c, lane, /*streamed=*/false,
       [](sim::Simulator& simulator) { simulator.run(); }, violation);
 }
 
-RunRecord DiffHarness::runStreamed(const FuzzCase& c, KernelMode mode,
+RunRecord DiffHarness::runStreamed(const FuzzCase& c, Lane lane,
                                    std::uint64_t seed,
                                    std::string* violation) const {
   return runRecorded(
-      checks_, c, mode, /*streamed=*/true,
+      checks_, c, lane, /*streamed=*/true,
       [&c, seed](sim::Simulator& simulator) {
         // Seeded coarse chopping: submit the trace in blocks of 1..8 jobs.
         // Usually advance under minimum lookahead first (to the instant
@@ -328,24 +324,22 @@ RunRecord DiffHarness::runStreamed(const FuzzCase& c, KernelMode mode,
 DiffOutcome DiffHarness::diffStreamed(const FuzzCase& c,
                                       std::uint64_t seed) const {
   DiffOutcome out;
-  for (const KernelMode mode :
-       {KernelMode::Incremental, KernelMode::Rebuild}) {
-    const char* lane =
-        mode == KernelMode::Incremental ? "incremental" : "rebuild";
+  for (const Lane lane : {Lane::Production, Lane::Reference}) {
+    const std::string name = laneName(lane);
     std::string violation;
-    const RunRecord batch = runOnce(c, mode, &violation);
+    const RunRecord batch = runOnce(c, lane, &violation);
     if (!violation.empty()) {
-      out.violation = "[batch/" + std::string(lane) + "] " + violation;
+      out.violation = "[batch/" + name + "] " + violation;
       return out;
     }
-    const RunRecord streamed = runStreamed(c, mode, seed, &violation);
+    const RunRecord streamed = runStreamed(c, lane, seed, &violation);
     if (!violation.empty()) {
-      out.violation = "[streamed/" + std::string(lane) + "] " + violation;
+      out.violation = "[streamed/" + name + "] " + violation;
       return out;
     }
     out.divergence = diffRecords(streamed, batch, "streamed", "batch");
     if (!out.divergence.empty()) {
-      out.divergence.insert(0, std::string("[").append(lane).append("] "));
+      out.divergence.insert(0, "[" + name + "] ");
       return out;
     }
   }
@@ -355,17 +349,17 @@ DiffOutcome DiffHarness::diffStreamed(const FuzzCase& c,
 DiffOutcome DiffHarness::diff(const FuzzCase& c) const {
   DiffOutcome out;
   std::string violation;
-  const RunRecord inc = runOnce(c, KernelMode::Incremental, &violation);
+  const RunRecord production = runOnce(c, Lane::Production, &violation);
   if (!violation.empty()) {
-    out.violation = "[incremental] " + violation;
+    out.violation = "[production] " + violation;
     return out;
   }
-  const RunRecord reb = runOnce(c, KernelMode::Rebuild, &violation);
+  const RunRecord reference = runOnce(c, Lane::Reference, &violation);
   if (!violation.empty()) {
-    out.violation = "[rebuild] " + violation;
+    out.violation = "[reference] " + violation;
     return out;
   }
-  out.divergence = diffRecords(inc, reb);
+  out.divergence = diffRecords(production, reference);
   return out;
 }
 

@@ -1,13 +1,12 @@
 // DiffHarness — the differential half of sps::check.
 //
 // Cross-checking two independent implementations of the same scheduler is
-// the standing trust argument for scheduling simulators; here the two
-// implementations already exist: every kernel policy runs under
-// KernelMode::Incremental (amortized ledger maintenance) and
-// KernelMode::Rebuild (the pre-kernel per-event reconstruction). The
-// harness runs a workload through both with the invariant oracle armed and
-// diffs the full schedules — any divergence or invariant firing is a bug by
-// construction.
+// the standing trust argument for scheduling simulators. Every case runs
+// twice with the invariant oracle armed: once on the production policy
+// (makePolicy) and once on its reference (check::referencePolicy — the
+// rebuild-shaped SS, the restart-scan EASY, or the ledger-rebuild mode of
+// the other kernel policies). The harness diffs the full schedules; any
+// divergence or invariant firing is a bug by construction.
 //
 // A failing case shrinks via a greedy job-removal minimizer and round-trips
 // through a self-contained text repro file (policy token + overhead flag +
@@ -22,8 +21,8 @@
 #include <vector>
 
 #include "check/check_config.hpp"
+#include "check/reference/reference_policy.hpp"
 #include "core/simulation.hpp"
-#include "sched/core/reservation_ledger.hpp"
 #include "workload/job.hpp"
 
 namespace sps::check {
@@ -55,15 +54,15 @@ struct FuzzCase {
 [[nodiscard]] core::PolicySpec policyFromToken(const std::string& token);
 
 /// Resolve a case's full spec, including the "tss:" bootstrap (limits
-/// calibrated from the case trace's own NS run — deterministic and
-/// kernel-mode independent, so every lane of a diff sees identical
-/// limits). The federated lane resolves against the *fleet* trace through
-/// this same call, so federation shards and their single-cluster replays
-/// agree on the limits too.
+/// calibrated from the case trace's own NS run — deterministic and lane
+/// independent, so every lane of a diff sees identical limits). The
+/// federated lane resolves against the *fleet* trace through this same
+/// call, so federation shards and their single-cluster replays agree on
+/// the limits too.
 [[nodiscard]] core::PolicySpec resolveCaseSpec(const FuzzCase& c);
 
 /// The standing fuzz set: every policy family x the paper's interesting
-/// parameter points. Each runs under both kernel modes per case.
+/// parameter points. Each runs in both lanes per case.
 [[nodiscard]] std::vector<std::string> fuzzPolicyTokens();
 
 /// Seeded adversarial workload generator. Rotates through shapes the
@@ -77,7 +76,7 @@ struct FuzzCase {
 /// flag, and the given policy, all deterministic in (seed, token).
 [[nodiscard]] FuzzCase makeFuzzCase(std::uint64_t seed, std::string token);
 
-/// Everything one mode's run produced that the other mode must reproduce.
+/// Everything one lane's run produced that the other lane must reproduce.
 struct RunRecord {
   /// (time, job, from, to) for every state transition, in order.
   std::vector<std::tuple<Time, JobId, int, int>> transitions;
@@ -101,29 +100,27 @@ class DiffHarness {
   explicit DiffHarness(CheckConfig checks = CheckConfig::all(1))
       : checks_(checks) {}
 
-  /// Run the case once under `mode` with the oracle armed. On an invariant
+  /// Run the case once in `lane` with the oracle armed. On an invariant
   /// firing, *violation gets the message and the (partial) record returns.
-  [[nodiscard]] RunRecord runOnce(const FuzzCase& c,
-                                  sched::kernel::KernelMode mode,
+  [[nodiscard]] RunRecord runOnce(const FuzzCase& c, Lane lane,
                                   std::string* violation) const;
 
-  /// Run under both kernel modes and diff the records.
+  /// Run the production and the reference lane and diff the records.
   [[nodiscard]] DiffOutcome diff(const FuzzCase& c) const;
 
-  /// Run the case once under `mode` through the streaming ingest boundary:
+  /// Run the case once in `lane` through the streaming ingest boundary:
   /// the trace is chopped into seeded segments, each submitted as a block
   /// after advancing the simulator under bounded lookahead. Coarse segments
   /// deliberately leave several future arrivals pending in the event queue
   /// at once — the interleaving the per-job pump (core::runSimulation's
   /// streaming overload) never produces. Same record/violation contract as
   /// runOnce.
-  [[nodiscard]] RunRecord runStreamed(const FuzzCase& c,
-                                      sched::kernel::KernelMode mode,
+  [[nodiscard]] RunRecord runStreamed(const FuzzCase& c, Lane lane,
                                       std::uint64_t seed,
                                       std::string* violation) const;
 
-  /// Golden equivalence across the ingest boundary: for each kernel mode,
-  /// batch vs streamed replay of the same case must be bit-identical.
+  /// Golden equivalence across the ingest boundary: in each lane, batch vs
+  /// streamed replay of the same case must be bit-identical.
   /// A divergence here is an ingest-boundary bug (ordering, steady-state
   /// snapshot, index growth), not a kernel one.
   [[nodiscard]] DiffOutcome diffStreamed(const FuzzCase& c,

@@ -4,9 +4,11 @@
 
 #include "obs/counters.hpp"
 #include "sched/conservative.hpp"
+#include "sched/core/priority_index.hpp"
 #include "sched/core/reservation_ledger.hpp"
 #include "sched/depth_backfill.hpp"
 #include "sched/easy.hpp"
+#include "sched/immediate_service.hpp"
 #include "sched/selective_suspension.hpp"
 #include "util/check.hpp"
 
@@ -201,8 +203,8 @@ void InvariantChecker::arm(sim::Simulator& simulator,
 
   // Probe discovery by policy type. The reservation-based policies expose
   // their kernel ledger and guarantee oracle; SS exposes its protection
-  // limit. Policies outside these families still get the policy-agnostic
-  // checkers (capacity / conservation).
+  // limit, SS and IS their priority index. Policies outside these families
+  // still get the policy-agnostic checkers (capacity / conservation).
   if (const auto* c = dynamic_cast<const sched::ConservativeBackfill*>(
           &policy)) {
     ledger_ = &c->ledger();
@@ -218,10 +220,14 @@ void InvariantChecker::arm(sim::Simulator& simulator,
     ledger_ = &e->ledger();
   } else if (const auto* ss = dynamic_cast<const sched::SelectiveSuspension*>(
                  &policy)) {
+    index_ = &ss->idleIndex();
     if (!tssProbe_)
       tssProbe_ = [ss](const sim::Simulator& s, JobId id) {
         return ss->victimProtectionLimit(s, id);
       };
+  } else if (const auto* is =
+                 dynamic_cast<const sched::ImmediateService*>(&policy)) {
+    index_ = &is->waitingIndex();
   }
 
   if (config_.capacity)
@@ -276,7 +282,12 @@ void InvariantChecker::onEvent(const sim::Simulator& s) {
     for (const JobId id : s.queuedJobs())
       guarantees_.observe(id, guaranteeProbe_(id), s.now());
   }
-  if (config_.ledger && ledger_ != nullptr) ledger_->audit(s);
+  if (config_.ledger) auditKernel(s);
+}
+
+void InvariantChecker::auditKernel(const sim::Simulator& s) const {
+  if (ledger_ != nullptr) ledger_->audit(s);
+  if (index_ != nullptr) index_->audit(s);
 }
 
 void InvariantChecker::finalize(const sim::Simulator& simulator) {
@@ -334,7 +345,7 @@ void InvariantChecker::finalize(const sim::Simulator& simulator) {
                                << " processors still held after the run");
     capacity_->verify(simulator.freeSet(), simulator.now());
   }
-  if (config_.ledger && ledger_ != nullptr) ledger_->audit(simulator);
+  if (config_.ledger) auditKernel(simulator);
 }
 
 }  // namespace sps::check

@@ -15,16 +15,18 @@
 //                       meets its category's protection limit (the tunable
 //                       worst-case bound of Section IV-E);
 //   * ledger          — the incremental AvailabilityProfile equals a
-//                       from-scratch rebuild (the kernel optimization of
-//                       PR 2 changed no scheduler-visible state).
+//                       from-scratch rebuild, and the maintained
+//                       PriorityIndex of SS/TSS and IS serves the order a
+//                       fresh sort gives (the kernel indexes change no
+//                       scheduler-visible state).
 //
 // The validator cores (TransitionAudit, CapacityAudit, GuaranteeAudit,
 // checkTssBound) are plain classes fed explicit streams so tests can drive
 // them with corrupted histories directly. InvariantChecker composes them
 // onto a live run through the typed Simulator::observers() registry and
-// discovers policy probes (guaranteeOf, the kernel ledger, TSS limits) by
-// policy type. Violations throw InvariantError, exactly like the
-// simulator's own SPS_CHECK failures.
+// discovers policy probes (guaranteeOf, the kernel ledger, the priority
+// index, TSS limits) by policy type. Violations throw InvariantError,
+// exactly like the simulator's own SPS_CHECK failures.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +42,7 @@
 namespace sps::sched {
 class SelectiveSuspension;
 namespace kernel {
+class PriorityIndex;
 class ReservationLedger;
 }
 }  // namespace sps::sched
@@ -165,6 +168,9 @@ class InvariantChecker {
   void onStateChange(const sim::Simulator& s, JobId id, sim::JobState from,
                      sim::JobState to);
   void onEvent(const sim::Simulator& s);
+  /// The ledger toggle's audits: the reservation ledger against a rebuild,
+  /// the priority index against a fresh sort.
+  void auditKernel(const sim::Simulator& s) const;
 
   CheckConfig config_;
   TransitionAudit transitions_;
@@ -173,6 +179,7 @@ class InvariantChecker {
   GuaranteeProbe guaranteeProbe_;
   TssProbe tssProbe_;
   const sched::kernel::ReservationLedger* ledger_ = nullptr;
+  const sched::kernel::PriorityIndex* index_ = nullptr;
   std::uint64_t dispatches_ = 0;
   std::uint64_t epochAudits_ = 0;
   bool armed_ = false;

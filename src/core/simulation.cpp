@@ -10,12 +10,20 @@ namespace sps::core {
 SimulationHarness::SimulationHarness(const workload::Trace& trace,
                                      const PolicySpec& spec,
                                      const SimulationOptions& options)
-    : policy_(makePolicy(spec)),
+    : SimulationHarness(trace, makePolicy(spec), options) {
+  if (!spec.label.empty()) label_ = spec.label;
+}
+
+SimulationHarness::SimulationHarness(
+    const workload::Trace& trace,
+    std::unique_ptr<sim::SchedulingPolicy> policy,
+    const SimulationOptions& options)
+    : policy_(std::move(policy)),
       // One Recorder per run: counters stay per-simulation (thread-count
       // invariant under core::Runner) even when many runs share one sink.
       recorder_(options.traceSink),
       traceSink_(options.traceSink),
-      label_(policyLabel(spec)) {
+      label_(policy_->name()) {
   sim::SimulatorConfig config = options.sim;
   config.recorder = &recorder_;
   simulator_.emplace(trace, *policy_, config);
@@ -79,6 +87,14 @@ metrics::RunStats runSimulation(const workload::Trace& trace,
                                 const PolicySpec& spec,
                                 const SimulationOptions& options) {
   SimulationHarness harness(trace, spec, options);
+  harness.simulator().run();
+  return harness.finish();
+}
+
+metrics::RunStats runSimulation(const workload::Trace& trace,
+                                std::unique_ptr<sim::SchedulingPolicy> policy,
+                                const SimulationOptions& options) {
+  SimulationHarness harness(trace, std::move(policy), options);
   harness.simulator().run();
   return harness.finish();
 }

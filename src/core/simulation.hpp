@@ -125,6 +125,11 @@ class SimulationHarness {
   /// Batch shape: the whole trace pre-submitted.
   SimulationHarness(const workload::Trace& trace, const PolicySpec& spec,
                     const SimulationOptions& options);
+  /// Batch shape over an already-built policy (how a check::referencePolicy
+  /// lane runs); the run is labelled with the policy's name().
+  SimulationHarness(const workload::Trace& trace,
+                    std::unique_ptr<sim::SchedulingPolicy> policy,
+                    const SimulationOptions& options);
   /// Streaming shape: an empty simulator; inject via simulator().submit().
   SimulationHarness(std::string traceName, std::uint32_t machineProcs,
                     const PolicySpec& spec, const SimulationOptions& options);
@@ -158,6 +163,12 @@ class SimulationHarness {
 /// trace is pre-submitted).
 [[nodiscard]] metrics::RunStats runSimulation(
     const workload::Trace& trace, const PolicySpec& spec,
+    const SimulationOptions& options = {});
+
+/// Batch run of an already-built policy, e.g. a check::referencePolicy lane.
+[[nodiscard]] metrics::RunStats runSimulation(
+    const workload::Trace& trace,
+    std::unique_ptr<sim::SchedulingPolicy> policy,
     const SimulationOptions& options = {});
 
 /// Streaming entry point: pump the source through Simulator::submit with

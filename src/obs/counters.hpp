@@ -10,7 +10,7 @@
 // The slots mirror the quantities the paper's evaluation and the kernel's
 // perf work care about: suspensions (total and per Table-I category),
 // backfill successes/failures, the incremental kernel's fast-path vs
-// full-pass split, PriorityIndex epoch-cache hits and resort kinds, and the
+// full-pass split, PriorityIndex cache hits and resort kinds, and the
 // ledger's profile maintenance operations. metrics::collect() copies the
 // block into RunStats, where it reaches the JSON export and RunResult.
 #pragma once
@@ -40,9 +40,9 @@ enum class Counter : std::uint8_t {
   LedgerReservationsAdded,
   LedgerReservationsRemoved,
   // --- scheduling kernel: priority index ---------------------------------
-  IndexHits,           ///< idle() served from the epoch cache
-  IndexMisses,         ///< idle() had to recompute
-  IndexSeededSorts,    ///< resorts seeded by the previous epoch's order
+  IndexHits,           ///< walk() served the cached order (horizon holds)
+  IndexMisses,         ///< walk() re-sorted (first walk or horizon expiry)
+  IndexSeededSorts,    ///< resorts seeded by the previous order
   IndexFullSorts,      ///< from-scratch std::sort resorts
   // --- scheduling kernel: victim index ------------------------------------
   VictimInserts,       ///< running jobs entered into the VictimIndex

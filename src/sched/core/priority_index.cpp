@@ -1,39 +1,17 @@
 #include "sched/core/priority_index.hpp"
 
-#ifdef SPS_MANUAL_PROF
-#include <x86intrin.h>
-#include <cstdio>
-namespace {
-struct PIProfAcc {
-  unsigned long long t[4] = {};
-  ~PIProfAcc() {
-    std::fprintf(stderr,
-                 "PROF(pidx Mcycles) ensure=%llu refresh=%llu sort=%llu compact=%llu\n",
-                 t[0] / 1000000, t[1] / 1000000, t[2] / 1000000, t[3] / 1000000);
-  }
-} piProfAcc;
-struct PIProfScope {
-  unsigned long long s; int i;
-  explicit PIProfScope(int idx) : s(__rdtsc()), i(idx) {}
-  ~PIProfScope() { piProfAcc.t[i] += __rdtsc() - s; }
-};
-}  // namespace
-#define SPS_PIPROF(i) PIProfScope pi_prof_scope_(i)
-#else
-#define SPS_PIPROF(i)
-#endif
-
 #include <algorithm>
 
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "util/check.hpp"
 
 namespace sps::sched::kernel {
 
 namespace {
 
 /// Sort `jobs` under a strict total order. When `seeded`, the vector is the
-/// previous epoch's order with membership churn applied — nearly sorted,
+/// previous order with membership churn applied — nearly sorted,
 /// because priorities drift continuously between events and pairwise order
 /// flips are rare — so an adaptive insertion sort finishes in
 /// O(n + inversions). The comparator breaks every tie (by id), the sorted
@@ -67,6 +45,11 @@ void adaptiveSort(std::vector<JobId>& jobs, Cmp cmp, bool seeded) {
   }
 }
 
+/// Members of the idle set: queued, or suspended and fully drained.
+bool isIdle(sim::JobState st) {
+  return st == sim::JobState::Queued || st == sim::JobState::Suspended;
+}
+
 }  // namespace
 
 void IdleWalk::iterator::settle() {
@@ -82,42 +65,19 @@ void IdleWalk::iterator::settle() {
   }
 }
 
-std::vector<JobId> PriorityIndex::idle(const sim::Simulator& simulator) {
-  if (maintained_ && attached_ == &simulator) {
-    // May contain tombstones (jobs no longer idle); callers re-check state
-    // at use, exactly as with any stale snapshot entry.
-    ensureMaintained(simulator);
-    return idle_;
-  }
-  const bool hit = mode_ == KernelMode::Incremental && valid_ &&
-                   sim_ == &simulator && epoch_ == simulator.epoch();
-  simulator.counters().inc(hit ? obs::Counter::IndexHits
-                               : obs::Counter::IndexMisses);
-  if (!hit) recompute(simulator);
-  return idle_;
-}
-
 IdleWalk PriorityIndex::walk(const sim::Simulator& simulator,
                              IdleFilter filter) {
-  if (maintained_ && attached_ == &simulator) {
-    ensureMaintained(simulator);
-    return {idle_, simulator, filter};
-  }
-  const bool hit = mode_ == KernelMode::Incremental && valid_ &&
-                   sim_ == &simulator && epoch_ == simulator.epoch();
-  simulator.counters().inc(hit ? obs::Counter::IndexHits
-                               : obs::Counter::IndexMisses);
-  if (!hit) recompute(simulator);
+  SPS_CHECK_MSG(attached_ == &simulator,
+                "priority index walked for a run it is not attached to");
+  ensureMaintained(simulator);
   return {idle_, simulator, filter};
 }
 
 void PriorityIndex::attach(sim::Simulator& simulator) {
   valid_ = false;
-  sim_ = nullptr;
   pending_.clear();
   orderValidUntil_ = kNoTime;
   inPending_.assign(simulator.trace().jobs.size(), 0);
-  maintained_ = true;
   const bool firstAttach = attached_ == nullptr;
   attached_ = &simulator;
   if (firstAttach) {
@@ -127,12 +87,8 @@ void PriorityIndex::attach(sim::Simulator& simulator) {
         [this](const sim::Simulator& s, JobId id, sim::JobState from,
                sim::JobState to) {
           if (&s != attached_) return;
-          const auto idle = [](sim::JobState st) {
-            return st == sim::JobState::Queued ||
-                   st == sim::JobState::Suspended;
-          };
-          const bool was = idle(from);
-          const bool is = idle(to);
+          const bool was = isIdle(from);
+          const bool is = isIdle(to);
           // Invalid cache: the next refresh gathers membership from
           // scratch, so nothing to track. Note this never mutates idle_ —
           // transitions fire mid-walk (the walker's own starts and
@@ -152,89 +108,46 @@ void PriorityIndex::attach(sim::Simulator& simulator) {
 }
 
 void PriorityIndex::ensureMaintained(const sim::Simulator& simulator) {
-  SPS_PIPROF(0);
-  // Streamed submits grow the job table after attach; the stamp/priority
-  // scratch arrays already resize at point of use, this one is indexed by
-  // every pending id below.
+  // Streamed submits grow the job table after attach; the priority scratch
+  // already resizes at point of use, this one is indexed by every pending
+  // id below.
   if (inPending_.size() < simulator.trace().jobs.size())
     inPending_.resize(simulator.trace().jobs.size(), 0);
-  const bool hit =
-      valid_ && sim_ == &simulator && simulator.now() < orderValidUntil_;
+  const bool hit = valid_ && simulator.now() < orderValidUntil_;
   simulator.counters().inc(hit ? obs::Counter::IndexHits
                                : obs::Counter::IndexMisses);
   if (!hit) {
-    refreshMaintained(simulator);
+    refresh(simulator);
   } else if (!pending_.empty()) {
     compactAndApply(simulator);
   }
-#ifdef SPS_INDEX_AUDIT
-  {
-    std::vector<JobId> live;
-    for (const JobId id : idle_)
-      if (simulator.state(id) == sim::JobState::Queued ||
-          simulator.state(id) == sim::JobState::Suspended)
-        live.push_back(id);
-    std::vector<JobId> ref;
-    for (const JobId id : simulator.queuedJobs()) ref.push_back(id);
-    for (const JobId id : simulator.suspendedJobs())
-      if (simulator.state(id) == sim::JobState::Suspended) ref.push_back(id);
-    std::sort(ref.begin(), ref.end(), [&](JobId a, JobId b) {
-      const double xa = simulator.xfactor(a);
-      const double xb = simulator.xfactor(b);
-      if (order_ == IndexOrder::XFactorDesc && xa != xb) return xa > xb;
-      if (simulator.job(a).submit != simulator.job(b).submit)
-        return simulator.job(a).submit < simulator.job(b).submit;
-      return a < b;
-    });
-    if (live != ref) {
-      std::fprintf(stderr, "INDEX AUDIT FAIL at t=%lld hit=%d live=%zu ref=%zu\n",
-                   static_cast<long long>(simulator.now()), hit ? 1 : 0,
-                   live.size(), ref.size());
-      for (std::size_t i = 0; i < std::max(live.size(), ref.size()); ++i) {
-        const long long l = i < live.size() ? static_cast<long long>(live[i]) : -1;
-        const long long r = i < ref.size() ? static_cast<long long>(ref[i]) : -1;
-        if (l != r)
-          std::fprintf(stderr, "  [%zu] live=%lld (x=%g) ref=%lld (x=%g)\n", i,
-                       l, l >= 0 ? simulator.xfactor(static_cast<JobId>(l)) : 0.0,
-                       r, r >= 0 ? simulator.xfactor(static_cast<JobId>(r)) : 0.0);
-      }
-      std::abort();
-    }
-  }
-#endif
 }
 
-void PriorityIndex::refreshMaintained(const sim::Simulator& simulator) {
-  SPS_PIPROF(1);
-  if (!valid_ || sim_ != &simulator) {
-    // No trustworthy bookkeeping to lean on: gather membership from the
-    // simulator's lists (the full recompute path).
+void PriorityIndex::refresh(const sim::Simulator& simulator) {
+  if (!valid_) {
+    // First walk since attach: nothing tracked yet, so gather membership
+    // from the simulator's lists and sort from scratch.
+    simulator.counters().inc(obs::Counter::IndexFullSorts);
+    SPS_TRACE(&simulator.recorder(),
+              obs::instant("kernel", "index.resort", simulator.now())
+                  .arg("seeded", 0));
     pending_.clear();
-    recompute(simulator);
+    idle_.assign(simulator.queuedJobs().begin(), simulator.queuedJobs().end());
+    for (const JobId id : simulator.suspendedJobs())
+      if (simulator.state(id) == sim::JobState::Suspended)
+        idle_.push_back(id);
+    valid_ = true;
+    sortCurrent(simulator, /*seeded=*/false);
   } else {
     // Horizon expiry with membership still exact: the observer tracked
-    // every idle transition, so skip the gather/stamp reconciliation
-    // entirely — drop tombstones (and stale copies of re-entered jobs),
-    // append the unplaced arrivals anywhere, and let the seeded sort
-    // repair the handful of drifted positions.
+    // every idle transition, so drop tombstones (and stale copies of
+    // re-entered jobs), append the unplaced arrivals anywhere, and let the
+    // seeded sort repair the handful of drifted positions.
     simulator.counters().inc(obs::Counter::IndexSeededSorts);
-    for (const JobId id : pending_) inPending_[id] = 1;
-    std::size_t keep = 0;
-    for (const JobId id : idle_) {
-      const sim::JobState st = simulator.state(id);
-      if ((st == sim::JobState::Queued || st == sim::JobState::Suspended) &&
-          inPending_[id] == 0)
-        idle_[keep++] = id;
-    }
-    idle_.resize(keep);
-    for (const JobId id : pending_) {
-      inPending_[id] = 0;
-      const sim::JobState st = simulator.state(id);
-      if (st == sim::JobState::Queued || st == sim::JobState::Suspended)
-        idle_.push_back(id);
-    }
+    dropTombstones(simulator);
+    for (const JobId id : pending_)
+      if (isIdle(simulator.state(id))) idle_.push_back(id);
     pending_.clear();
-    epoch_ = simulator.epoch();
     sortCurrent(simulator, /*seeded=*/true);
   }
   orderValidUntil_ = kTimeMax;
@@ -267,26 +180,25 @@ void PriorityIndex::pairHorizon(const sim::Simulator& simulator,
   orderValidUntil_ = std::min(orderValidUntil_, h);
 }
 
-void PriorityIndex::compactAndApply(const sim::Simulator& simulator) {
-  SPS_PIPROF(3);
-  // Tombstones must go before a binary search can trust the array: a
-  // no-longer-idle entry's priority froze when it left, so the live
-  // entries around it may have outgrown it without any recorded crossing.
+void PriorityIndex::dropTombstones(const sim::Simulator& simulator) {
   // A job that left and re-entered the idle set is both a tombstone and a
   // pending arrival — inPending_ drops the stale copy.
   for (const JobId id : pending_) inPending_[id] = 1;
   std::size_t keep = 0;
-  for (const JobId id : idle_) {
-    const sim::JobState st = simulator.state(id);
-    if ((st == sim::JobState::Queued || st == sim::JobState::Suspended) &&
-        inPending_[id] == 0)
+  for (const JobId id : idle_)
+    if (isIdle(simulator.state(id)) && inPending_[id] == 0)
       idle_[keep++] = id;
-  }
   idle_.resize(keep);
+  for (const JobId id : pending_) inPending_[id] = 0;
+}
+
+void PriorityIndex::compactAndApply(const sim::Simulator& simulator) {
+  // Tombstones must go before a binary search can trust the array: a
+  // no-longer-idle entry's priority froze when it left, so the live
+  // entries around it may have outgrown it without any recorded crossing.
+  dropTombstones(simulator);
   for (const JobId id : pending_) {
-    inPending_[id] = 0;
-    const sim::JobState st = simulator.state(id);
-    if (st != sim::JobState::Queued && st != sim::JobState::Suspended)
+    if (!isIdle(simulator.state(id)))
       continue;  // guard; the observer cancels unplaced leavers
     const Time submit = simulator.job(id).submit;
     double x = 0.0;
@@ -319,53 +231,8 @@ void PriorityIndex::compactAndApply(const sim::Simulator& simulator) {
   pending_.clear();
 }
 
-void PriorityIndex::recompute(const sim::Simulator& simulator) {
-  // A previous epoch's order for the same simulator seeds the sort; its
-  // membership is reconciled below (drop no-longer-idle jobs in place,
-  // append newcomers) so only genuine priority inversions cost anything.
-  const bool seeded = mode_ == KernelMode::Incremental && valid_ &&
-                      sim_ == &simulator && !idle_.empty();
-  simulator.counters().inc(seeded ? obs::Counter::IndexSeededSorts
-                                  : obs::Counter::IndexFullSorts);
-  SPS_TRACE(&simulator.recorder(),
-            obs::instant("kernel", "index.resort", simulator.now())
-                .arg("seeded", seeded ? 1 : 0));
-  sim_ = &simulator;
-  epoch_ = simulator.epoch();
-  valid_ = true;
-
-  gather_.clear();
-  gather_.reserve(simulator.queuedJobs().size() +
-                  simulator.suspendedJobs().size());
-  for (const JobId id : simulator.queuedJobs()) gather_.push_back(id);
-  for (const JobId id : simulator.suspendedJobs())
-    if (simulator.state(id) == sim::JobState::Suspended)
-      gather_.push_back(id);
-
-  if (seeded) {
-    ++generation_;
-    memberStamp_.resize(simulator.trace().jobs.size(), 0);
-    previousStamp_.resize(simulator.trace().jobs.size(), 0);
-    for (const JobId id : gather_) memberStamp_[id] = generation_;
-    for (const JobId id : idle_) previousStamp_[id] = generation_;
-    // Survivors keep the previous order; newcomers append in gather order
-    // (arbitrary — the total order makes the final result unique).
-    std::size_t keep = 0;
-    for (const JobId id : idle_)
-      if (memberStamp_[id] == generation_) idle_[keep++] = id;
-    idle_.resize(keep);
-    for (const JobId id : gather_)
-      if (previousStamp_[id] != generation_) idle_.push_back(id);
-  } else {
-    idle_ = gather_;
-  }
-
-  sortCurrent(simulator, seeded);
-}
-
 void PriorityIndex::sortCurrent(const sim::Simulator& simulator,
                                 bool seeded) {
-  SPS_PIPROF(2);
   if (order_ == IndexOrder::XFactorDesc) {
     priority_.resize(simulator.trace().jobs.size());
     for (const JobId id : idle_) priority_[id] = simulator.xfactor(id);
@@ -388,6 +255,53 @@ void PriorityIndex::sortCurrent(const sim::Simulator& simulator,
         },
         seeded);
   }
+}
+
+void PriorityIndex::audit(const sim::Simulator& simulator) const {
+  if (!valid_) return;
+  SPS_CHECK_MSG(attached_ == &simulator,
+                "priority index audit against a simulator it is not "
+                "attached to");
+  std::vector<JobId> pending(pending_);
+  std::sort(pending.begin(), pending.end());
+  // Live entries: idle jobs not awaiting placement (a pending job's older
+  // entry is the stale copy left when it last left the idle set).
+  std::vector<JobId> live;
+  for (const JobId id : idle_)
+    if (isIdle(simulator.state(id)) &&
+        !std::binary_search(pending.begin(), pending.end(), id))
+      live.push_back(id);
+
+  std::vector<JobId> tracked(live);
+  tracked.insert(tracked.end(), pending.begin(), pending.end());
+  std::sort(tracked.begin(), tracked.end());
+  std::vector<JobId> actual(simulator.queuedJobs());
+  for (const JobId id : simulator.suspendedJobs())
+    if (simulator.state(id) == sim::JobState::Suspended) actual.push_back(id);
+  std::sort(actual.begin(), actual.end());
+  SPS_CHECK_MSG(tracked == actual,
+                "priority index audit: tracks "
+                    << tracked.size() << " idle jobs (" << pending.size()
+                    << " pending) at t=" << simulator.now()
+                    << ", the simulator has " << actual.size());
+
+  if (simulator.now() >= orderValidUntil_) return;  // next walk re-sorts
+  const auto precedes = [this, &simulator](JobId a, JobId b) {
+    if (order_ == IndexOrder::XFactorDesc) {
+      const double xa = simulator.xfactor(a);
+      const double xb = simulator.xfactor(b);
+      if (xa != xb) return xa > xb;
+    }
+    if (simulator.job(a).submit != simulator.job(b).submit)
+      return simulator.job(a).submit < simulator.job(b).submit;
+    return a < b;
+  };
+  for (std::size_t i = 0; i + 1 < live.size(); ++i)
+    SPS_CHECK_MSG(precedes(live[i], live[i + 1]),
+                  "priority index audit: job "
+                      << live[i] << " is served before job " << live[i + 1]
+                      << " at t=" << simulator.now()
+                      << ", but a fresh sort puts it after");
 }
 
 }  // namespace sps::sched::kernel

@@ -3,25 +3,24 @@
 //
 // The preemptive policies (SS/TSS, IS) walk the idle set in priority order
 // at every decision point — and a single event typically triggers several
-// such walks (resume pass, backfill pass, preemption pass). The seed code
-// re-gathered and re-sorted the set for each walk. Priorities are a pure
-// function of the clock and per-job transition history, both of which are
-// summarized by Simulator::epoch(), so the sorted order is cached and
-// reused until the epoch moves.
+// such walks (resume pass, backfill pass, preemption pass). Instead of
+// re-gathering and re-sorting the set for each walk, the index follows idle
+// membership through a state-change observer and keeps the sorted order
+// until the clock reaches the earliest time two entries could swap (see
+// attach()).
 //
 // Comparators are strict total orders (every tie broken by job id), so the
 // sort result is independent of the input order — which is what makes the
 // simulator's unordered (swap-and-pop) job lists safe to consume here.
 //
-// idle() returns a snapshot by value: callers mutate the simulator while
-// walking the list (starting and suspending jobs), and must re-check each
-// job's state at use, exactly as the seed loops did.
+// Walks borrow the maintained order: callers mutate the simulator while
+// walking (starting and suspending jobs), and the walk's live state filter
+// hides every job that left the idle set.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sched/core/reservation_ledger.hpp"
 #include "util/types.hpp"
 
 namespace sps::sim {
@@ -53,8 +52,8 @@ enum class IdleFilter : std::uint8_t {
 /// entries that no longer match the filter — so jobs started, resumed, or
 /// suspended mid-walk (the walker's own actions) disappear from the walk
 /// at the index layer instead of needing a state re-check at every call
-/// site. Valid until the next walk()/idle()/reset() on the owning index;
-/// no copy of the order is made.
+/// site. Valid until the next walk() on the owning index; no copy of the
+/// order is made.
 class IdleWalk {
  public:
   class iterator {
@@ -99,59 +98,49 @@ class IdleWalk {
 
 class PriorityIndex {
  public:
-  explicit PriorityIndex(IndexOrder order,
-                         KernelMode mode = KernelMode::Incremental)
-      : order_(order), mode_(mode) {}
+  explicit PriorityIndex(IndexOrder order) : order_(order) {}
 
-  [[nodiscard]] KernelMode mode() const { return mode_; }
-
-  /// Invalidate the cache — call from onSimulationStart (a fresh simulator
-  /// could otherwise alias a previous run's address and epoch).
-  void reset() {
-    valid_ = false;
-    sim_ = nullptr;
-    pending_.clear();
-    orderValidUntil_ = kNoTime;
-  }
-
-  /// Maintained mode: bind to a simulator and register a state-change
-  /// observer that keeps idle *membership* current (the way VictimIndex
-  /// follows the running set), so walks serve the cached order without a
-  /// per-epoch rebuild. The *order* is revalidated against a crossing
-  /// horizon: idle priorities all rise with the clock but at per-job rates
-  /// (slope 1/estimate), so the earliest time any two adjacent entries can
-  /// swap is computable at sort time — until then a fresh sort would
-  /// reproduce the cached order bit-identically, and the order stays valid
-  /// across arbitrarily many transitions that walks' live state filter
-  /// already hides. Call from onSimulationStart (incremental mode only);
-  /// replaces reset().
+  /// Bind to a simulator and register a state-change observer that keeps
+  /// idle *membership* current (the way VictimIndex follows the running
+  /// set), so walks serve the cached order without a per-event rebuild. The
+  /// *order* is revalidated against a crossing horizon: idle priorities all
+  /// rise with the clock but at per-job rates (slope 1/estimate), so the
+  /// earliest time any two adjacent entries can swap is computable at sort
+  /// time — until then a fresh sort would reproduce the cached order
+  /// bit-identically, and the order stays valid across arbitrarily many
+  /// transitions that walks' live state filter already hides. Call from
+  /// onSimulationStart.
   void attach(sim::Simulator& simulator);
 
-  /// The idle jobs — Queued plus fully-Suspended (never Suspending) —
-  /// sorted by the index order. Cached on Simulator::epoch() in incremental
-  /// mode; recomputed per call (the seed behaviour) in rebuild mode.
-  [[nodiscard]] std::vector<JobId> idle(const sim::Simulator& simulator);
-
-  /// Like idle(), but returns a borrowing skip-on-stale view instead of a
-  /// by-value snapshot: no copy, and jobs whose state changes mid-walk are
-  /// filtered by the iterator itself. The view is invalidated by the next
-  /// idle()/walk()/reset() call on this index.
+  /// Borrowing skip-on-stale view over the idle jobs — Queued plus
+  /// fully-Suspended (never Suspending) — in index order. Jobs whose state
+  /// changes mid-walk are filtered by the iterator itself. The view is
+  /// invalidated by the next walk() on this index.
   [[nodiscard]] IdleWalk walk(const sim::Simulator& simulator,
                               IdleFilter filter = IdleFilter::Idle);
 
+  /// Invariant audit (sps::check), read-only: the live entries plus the
+  /// unplaced arrivals are exactly the simulator's idle set, and while the
+  /// crossing horizon holds the live entries are in the order a
+  /// from-scratch sort of them gives now. Throws InvariantError on a
+  /// mismatch. A no-op before the first walk (nothing is tracked yet).
+  void audit(const sim::Simulator& simulator) const;
+
  private:
-  void recompute(const sim::Simulator& simulator);
-  /// Precompute priorities for the current members and sort idle_ under the
-  /// index comparator (the shared tail of recompute / refreshMaintained).
-  void sortCurrent(const sim::Simulator& simulator, bool seeded);
-  /// Maintained-mode cache check: full refresh on horizon expiry, pending
-  /// insertion otherwise. Serves idle() and walk().
+  /// Cache check: full refresh on horizon expiry, pending insertion
+  /// otherwise.
   void ensureMaintained(const sim::Simulator& simulator);
-  /// Full rebuild: seeded recompute plus a fresh adjacent-pair crossing
-  /// horizon.
-  void refreshMaintained(const sim::Simulator& simulator);
+  /// Full refresh: gather membership on first use, otherwise apply the
+  /// tracked churn and repair the order with a seeded sort; then compute a
+  /// fresh adjacent-pair crossing horizon.
+  void refresh(const sim::Simulator& simulator);
+  /// Precompute priorities for the current members and sort idle_ under the
+  /// index comparator.
+  void sortCurrent(const sim::Simulator& simulator, bool seeded);
   /// Drop tombstoned entries (jobs no longer idle — walks were already
-  /// skipping them) and binary-insert the pending arrivals/drains, folding
+  /// skipping them) and stale copies of pending jobs from idle_.
+  void dropTombstones(const sim::Simulator& simulator);
+  /// Drop tombstones and binary-insert the pending arrivals/drains, folding
   /// each new adjacency's crossing into the running horizon minimum.
   void compactAndApply(const sim::Simulator& simulator);
   /// Fold the crossing time of adjacent entries idle_[i], idle_[i+1]
@@ -160,28 +149,19 @@ class PriorityIndex {
                    double xa, double xb);
 
   IndexOrder order_;
-  KernelMode mode_;
+  const sim::Simulator* attached_ = nullptr;
+  /// Membership has been gathered since attach() and the observer has
+  /// tracked every idle transition since.
   bool valid_ = false;
-  std::uint64_t epoch_ = 0;
-  const sim::Simulator* sim_ = nullptr;
   std::vector<JobId> idle_;
-  /// Per-job priority scratch, indexed by JobId — computed once per rebuild
+  /// Per-job priority scratch, indexed by JobId — computed once per sort
   /// instead of inside the sort comparator.
   std::vector<double> priority_;
-  /// Membership-reconciliation scratch for the seeded (incremental) path:
-  /// the freshly gathered idle set, plus two generation-stamp arrays used
-  /// to diff it against the previous epoch's order without clearing.
-  std::vector<JobId> gather_;
-  std::vector<std::uint64_t> memberStamp_;
-  std::vector<std::uint64_t> previousStamp_;
-  std::uint64_t generation_ = 0;
-  /// Maintained-mode state. The cached order is fresh-sort-consistent
-  /// while now < orderValidUntil_ (exclusive); pending_ holds jobs that
-  /// entered the idle set since the last walk and await placement. Entries
-  /// whose jobs left the idle set are tombstones: walks' live state filter
-  /// hides them, and they are compacted away before the next placement.
-  bool maintained_ = false;
-  const sim::Simulator* attached_ = nullptr;
+  /// The cached order is fresh-sort-consistent while now < orderValidUntil_
+  /// (exclusive); pending_ holds jobs that entered the idle set since the
+  /// last walk and await placement. Entries whose jobs left the idle set
+  /// are tombstones: walks' live state filter hides them, and they are
+  /// compacted away before the next placement.
   Time orderValidUntil_ = kNoTime;
   std::vector<JobId> pending_;
   std::vector<std::uint8_t> inPending_;  ///< compaction scratch, per job

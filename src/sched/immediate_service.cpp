@@ -8,12 +8,12 @@ namespace sps::sched {
 
 ImmediateService::ImmediateService(IsConfig config)
     : config_(config),
-      waitingIndex_(kernel::IndexOrder::SubmitAsc, config.kernelMode) {
+      waitingIndex_(kernel::IndexOrder::SubmitAsc) {
   SPS_CHECK_MSG(config_.quantum > 0, "IS quantum must be positive");
 }
 
-void ImmediateService::onSimulationStart(sim::Simulator& /*simulator*/) {
-  waitingIndex_.reset();
+void ImmediateService::onSimulationStart(sim::Simulator& simulator) {
+  waitingIndex_.attach(simulator);
 }
 
 bool ImmediateService::inFirstQuantum(const sim::Simulator& s,

@@ -32,8 +32,6 @@ namespace sps::sched {
 struct IsConfig {
   /// Guaranteed initial timeslice, seconds (paper: 10 minutes).
   Time quantum = 10 * kMinute;
-  /// Maintenance mode of the kernel dispatch index (sched/core).
-  kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
 class ImmediateService final : public sim::SchedulingPolicy {
@@ -51,6 +49,11 @@ class ImmediateService final : public sim::SchedulingPolicy {
 
   [[nodiscard]] std::uint64_t preemptionsInitiated() const {
     return preemptions_;
+  }
+
+  /// The dispatch index, for the sps::check index audit.
+  [[nodiscard]] const kernel::PriorityIndex& waitingIndex() const {
+    return waitingIndex_;
   }
 
  private:

@@ -117,8 +117,6 @@ PolicySpec withKernelMode(PolicySpec spec, kernel::KernelMode mode) {
   spec.conservative.kernelMode = mode;
   spec.easy.kernelMode = mode;
   spec.depth.kernelMode = mode;
-  spec.ss.kernelMode = mode;
-  spec.is.kernelMode = mode;
   return spec;
 }
 

@@ -14,8 +14,8 @@
 //     "sjf", "depth:4", "depth:inf", "ss:1.5", "tss:2", "tss-online:2",
 //     "is", "gang", "conservative") used by CLIs and the fuzzer alike.
 //   * withKernelMode(spec, mode) — flip every per-policy kernel-mode knob
-//     at once; the golden-equivalence suite and diff harness pin
-//     KernelMode::Rebuild as the bit-identical reference lane.
+//     (how conservative, EASY and depth-K maintain their ledger) at once;
+//     check::referencePolicy builds its ledger-rebuild lanes with it.
 //
 // core::PolicySpec et al. remain as aliases of these types, so existing
 // callers (and the stable core:: facade) are unaffected.
@@ -77,7 +77,8 @@ struct PolicySpec {
 /// example parameters) — the fuzzer's policy lane list.
 [[nodiscard]] std::vector<std::string> knownPolicyTokens();
 
-/// Copy of `spec` with every per-policy kernel-mode knob set to `mode`.
+/// Copy of `spec` with every per-policy kernel-mode knob (conservative,
+/// EASY, depth-K) set to `mode`.
 [[nodiscard]] PolicySpec withKernelMode(PolicySpec spec,
                                         kernel::KernelMode mode);
 

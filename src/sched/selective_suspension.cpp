@@ -1,28 +1,5 @@
 #include "sched/selective_suspension.hpp"
 
-#ifdef SPS_MANUAL_PROF
-#include <x86intrin.h>
-#include <cstdio>
-namespace {
-struct ProfAcc {
-  unsigned long long t[8] = {};
-  ~ProfAcc() {
-    std::fprintf(stderr,
-                 "PROF(ss Mcycles) dispatch=%llu pass=%llu gate=%llu arrival=%llu\n",
-                 t[0] / 1000000, t[1] / 1000000, t[2] / 1000000, t[3] / 1000000);
-  }
-} profAcc;
-struct ProfScope {
-  unsigned long long s; int i;
-  explicit ProfScope(int idx) : s(__rdtsc()), i(idx) {}
-  ~ProfScope() { profAcc.t[i] += __rdtsc() - s; }
-};
-}  // namespace
-#define SPS_PROF(i) ProfScope prof_scope_(i)
-#else
-#define SPS_PROF(i)
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -90,7 +67,7 @@ Time crossingHorizon(const sim::Simulator& s, JobId id, double x,
 
 SelectiveSuspension::SelectiveSuspension(SsConfig config)
     : config_(config),
-      idleIndex_(kernel::IndexOrder::XFactorDesc, config.kernelMode) {
+      idleIndex_(kernel::IndexOrder::XFactorDesc) {
   SPS_CHECK_MSG(config_.suspensionFactor >= 1.0,
                 "suspension factor must be >= 1");
   SPS_CHECK_MSG(config_.preemptionInterval > 0,
@@ -111,41 +88,32 @@ std::string SelectiveSuspension::name() const {
 }
 
 void SelectiveSuspension::onSimulationStart(sim::Simulator& simulator) {
-  idleIndex_.reset();
   claimsDirty_ = true;
   gateStamp_ = ~std::uint64_t{0};
   gateSkipUntil_ = kNoTime;
   tickPrefix_.clear();
   sweepHorizon_ = kNoTime;
   passHorizon_ = kNoTime;
-  if (config_.kernelMode == kernel::KernelMode::Incremental) {
-    idleIndex_.attach(simulator);
-    victimIndex_.attach(simulator);
-  }
+  idleIndex_.attach(simulator);
+  victimIndex_.attach(simulator);
 }
 
 void SelectiveSuspension::onJobArrival(sim::Simulator& simulator, JobId job) {
-  SPS_PROF(3);
-  if (config_.kernelMode == kernel::KernelMode::Incremental) {
-    // At handler entry the machine sits at a dispatch fixpoint (every
-    // handler ends in dispatch() or a proven no-op skip), and an arrival
-    // adds no capacity and no claims: claimants and resumes still fail,
-    // and every previously queued job still fails its backfill test
-    // whether or not the newcomer starts (capacity only shrinks). The
-    // full walk therefore reduces to the newcomer's own backfill test —
-    // the exact usable/fence arithmetic of the backfill loop.
-    const sim::ProcSet& fenced = claimedSet(simulator);
-    sim::ProcSet unusable = fenced;
-    if (config_.owedProcs == OwedProcsPolicy::Lease)
-      unusable |= suspendedSets(simulator);
-    const std::uint32_t usableCount =
-        (simulator.freeSet() - unusable).count();
-    if (usableCount >= simulator.job(job).procs + claimedCount(simulator))
-      startFreshPreferring(simulator, job);
-    simulator.counters().inc(obs::Counter::DispatchSkips);
-  } else {
-    dispatch(simulator);
-  }
+  // At handler entry the machine sits at a dispatch fixpoint (every handler
+  // ends in dispatch() or a proven no-op skip), and an arrival adds no
+  // capacity and no claims: claimants and resumes still fail, and every
+  // previously queued job still fails its backfill test whether or not the
+  // newcomer starts (capacity only shrinks). The full walk therefore
+  // reduces to the newcomer's own backfill test — the exact usable/fence
+  // arithmetic of the backfill loop.
+  const sim::ProcSet& fenced = claimedSet(simulator);
+  sim::ProcSet unusable = fenced;
+  if (config_.owedProcs == OwedProcsPolicy::Lease)
+    unusable |= suspendedSets(simulator);
+  const std::uint32_t usableCount = (simulator.freeSet() - unusable).count();
+  if (usableCount >= simulator.job(job).procs + claimedCount(simulator))
+    startFreshPreferring(simulator, job);
+  simulator.counters().inc(obs::Counter::DispatchSkips);
   armTick(simulator);
 }
 
@@ -187,15 +155,13 @@ void SelectiveSuspension::onTimer(sim::Simulator& simulator,
                                   std::uint64_t tag) {
   SPS_CHECK(tag == kTickTag);
   tickArmed_ = false;
-  const bool incremental =
-      config_.kernelMode == kernel::KernelMode::Incremental;
   // Every event handler ends in dispatch(), so at tick entry the machine is
   // already at a dispatch fixpoint: each idle job individually fails its
   // feasibility test, and those tests do not depend on the clock. If the
   // pass changes nothing, they all still fail — walk order only matters
   // once some action is taken — so dispatch() is provably a no-op too and
   // is skipped along with (or after) the pass.
-  if (incremental && tickPassSkippable(simulator)) {
+  if (tickPassSkippable(simulator)) {
     simulator.counters().inc(obs::Counter::PassSkips);
     simulator.counters().inc(obs::Counter::DispatchSkips);
   } else {
@@ -204,7 +170,7 @@ void SelectiveSuspension::onTimer(sim::Simulator& simulator,
     preemptionPass(simulator);
     const bool passActed =
         simulator.counters().value(obs::Counter::SimTransitions) != before;
-    if (!incremental || passActed) {
+    if (passActed) {
       dispatch(simulator);
     } else {
       simulator.counters().inc(obs::Counter::DispatchSkips);
@@ -221,7 +187,6 @@ void SelectiveSuspension::onTimer(sim::Simulator& simulator,
 }
 
 bool SelectiveSuspension::tickPassSkippable(sim::Simulator& simulator) {
-  SPS_PROF(2);
   const std::uint64_t stamp =
       simulator.counters().value(obs::Counter::SimTransitions);
   if (stamp == gateStamp_ && simulator.now() < gateSkipUntil_) return true;
@@ -413,19 +378,7 @@ std::optional<double> SelectiveSuspension::victimProtectionLimit(
   return std::nullopt;
 }
 
-std::vector<JobId> SelectiveSuspension::idleByPriority(
-    const sim::Simulator& s) {
-  // The kernel index does not know about claims (they are policy state, not
-  // simulator state, so they cannot invalidate its epoch-keyed cache);
-  // claimants are skipped at each use site instead. Filtering after the
-  // sort yields the same order — the comparator is a strict total order.
-  return idleIndex_.idle(s);
-}
-
 void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
-  SPS_PROF(0);
-  const bool incremental =
-      config_.kernelMode == kernel::KernelMode::Incremental;
   // Serve claimants first, in claim order (they were fenced in priority
   // order by the preemption pass).
   bool progress = true;
@@ -473,8 +426,8 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   // service — both of which re-enter dispatch — can change the verdict.
   // This gates the intermediate drain events of a multi-victim preemption
   // and the tick-end dispatch right after a pass fences its preemptors.
-  if (incremental && std::any_of(claims_.begin(), claims_.end(),
-                                 [](const Claim& c) { return !c.exact; })) {
+  if (std::any_of(claims_.begin(), claims_.end(),
+                  [](const Claim& c) { return !c.exact; })) {
     simulator.counters().inc(obs::Counter::DispatchSkips);
     return;
   }
@@ -493,30 +446,28 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   const sim::ProcSet fenced = claimedSet(simulator);
   const std::uint32_t countFence = claimedCount(simulator);
   // usable = freeSet - fence changes only when this walk resumes or starts
-  // a job; incremental mode recomputes it on those mutations only, rebuild
-  // mode per candidate (the reference behaviour).
+  // a job, so it is recomputed on those mutations only.
   sim::ProcSet usable;
   std::uint32_t usableCount = 0;
   bool usableDirty = true;
   auto refreshUsable = [&](const sim::ProcSet& fence) {
-    if (incremental && !usableDirty) return;
+    if (!usableDirty) return;
     simulator.counters().inc(obs::Counter::FenceScans);
     usable = simulator.freeSet() - fence;
     usableCount = usable.count();
     usableDirty = false;
   };
-  // Incremental fast-outs: an empty suspended list or an empty free set
-  // makes the whole walk decision-free (every resume needs at least one
-  // usable processor), so the index refresh and fence scan are skipped.
-  if (!incremental ||
-      (!simulator.suspendedJobs().empty() && simulator.freeCount() != 0)) {
+  // Fast-outs: an empty suspended list or an empty free set makes the whole
+  // walk decision-free (every resume needs at least one usable processor),
+  // so the index refresh and fence scan are skipped.
+  if (!simulator.suspendedJobs().empty() && simulator.freeCount() != 0) {
     for (JobId id :
          idleIndex_.walk(simulator, kernel::IdleFilter::Suspended)) {
       if (isClaimant(id)) continue;
       refreshUsable(fenced);
       // usable only shrinks as this walk acts, so once the fence eats all
       // of it no later candidate can resume either.
-      if (incremental && usableCount <= countFence) break;
+      if (usableCount <= countFence) break;
       if (config_.migratableJobs) {
         if (usableCount >= simulator.job(id).procs + countFence) {
           simulator.resumeJobMigrating(id, fenced);
@@ -545,27 +496,17 @@ void SelectiveSuspension::dispatch(sim::Simulator& simulator) {
   if (config_.owedProcs == OwedProcsPolicy::Lease)
     unusable |= suspendedSets(simulator);
   usableDirty = true;  // the fence changed; first candidate recomputes
-  if (!incremental ||
-      (!simulator.queuedJobs().empty() && simulator.freeCount() != 0)) {
+  if (!simulator.queuedJobs().empty() && simulator.freeCount() != 0) {
     for (JobId id : idleIndex_.walk(simulator, kernel::IdleFilter::Queued)) {
       if (isClaimant(id)) continue;
       refreshUsable(unusable);
-      if (incremental && usableCount <= countFence) break;
+      if (usableCount <= countFence) break;
       if (usableCount >= simulator.job(id).procs + countFence) {
         startFreshPreferring(simulator, id);
         usableDirty = true;
       }
     }
   }
-}
-
-void SelectiveSuspension::preemptionPass(sim::Simulator& simulator) {
-  SPS_TRACE(&simulator.recorder(),
-            obs::instant("policy", "ss.preemptionPass", simulator.now()));
-  if (config_.kernelMode == kernel::KernelMode::Rebuild)
-    preemptionPassRebuild(simulator);
-  else
-    preemptionPassIncremental(simulator);
 }
 
 void SelectiveSuspension::executeFreshPreemption(
@@ -614,128 +555,13 @@ void SelectiveSuspension::executeFreshPreemption(
   }
 }
 
-void SelectiveSuspension::preemptionPassRebuild(sim::Simulator& simulator) {
-  // Sort the running set once: priorities are frozen while running, so the
-  // order cannot change during the pass. Jobs suspended or started during
-  // the pass are filtered by state when scanned (a job started this pass is
-  // simply not victimizable until the next tick).
-  std::vector<JobId> runningAsc(simulator.runningJobs());
-  std::sort(runningAsc.begin(), runningAsc.end(),
-            [&simulator](JobId a, JobId b) {
-              const double xa = simulator.xfactor(a);
-              const double xb = simulator.xfactor(b);
-              if (xa != xb) return xa < xb;
-              return a < b;
-            });
-
-  // The fresh-preemptor fences (claims, owed sets, usable free count) are
-  // recomputed per use — the reference per-candidate-reconstruction shape
-  // the golden suite compares the indexed pass against.
-  sim::ProcSet offLimits;
-  std::uint32_t freeNow = 0;
-  auto refreshFences = [&] {
-    simulator.counters().inc(obs::Counter::FenceScans);
-    offLimits = claimedSet(simulator);
-    if (config_.owedProcs == OwedProcsPolicy::Lease)
-      offLimits |= suspendedSets(simulator);
-    const std::uint32_t countFence = claimedCount(simulator);
-    const std::uint32_t usableFree = (simulator.freeSet() - offLimits).count();
-    freeNow = usableFree >= countFence ? usableFree - countFence : 0;
-  };
-
-  for (JobId id : idleByPriority(simulator)) {
-    // The idle snapshot can go stale as this loop suspends and starts jobs;
-    // skip anything no longer idle.
-    const sim::JobState st = simulator.state(id);
-    if (st != sim::JobState::Queued && st != sim::JobState::Suspended)
-      continue;
-    if (isClaimant(id)) continue;
-
-    const double priority = simulator.xfactor(id);
-    const bool reentry =
-        st == sim::JobState::Suspended && !config_.migratableJobs;
-    const std::uint32_t width = simulator.job(id).procs;
-
-    if (reentry) {
-      // Must reclaim the exact saved set: every current occupant of those
-      // processors has to be an eligible victim, and none may be mid-drain.
-      const sim::ProcSet needed = simulator.exec(id).procs;
-      if (needed.intersects(claimedSet(simulator))) continue;
-      std::vector<JobId> occupants;
-      bool blocked = false;
-      for (JobId r : simulator.runningJobs())
-        if (simulator.exec(r).procs.intersects(needed)) occupants.push_back(r);
-      // Canonical suspension order: the running list is unordered (swap-
-      // and-pop), and with an overhead model the occupants' drain events
-      // tie-break by insertion sequence — so the schedule would otherwise
-      // depend on list internals.
-      std::sort(occupants.begin(), occupants.end());
-      for (JobId r : simulator.suspendedJobs())
-        if (simulator.state(r) == sim::JobState::Suspending &&
-            simulator.exec(r).procs.intersects(needed))
-          blocked = true;  // draining; try again next tick
-      if (blocked) continue;
-      sim::ProcSet covered = needed & simulator.freeSet();
-      for (JobId r : occupants) {
-        if (!victimEligible(simulator, r, priority, width,
-                            /*reentry=*/true)) {
-          blocked = true;
-          break;
-        }
-        covered |= simulator.exec(r).procs & needed;
-      }
-      if (blocked || !(needed - covered).empty()) continue;
-      if (occupants.empty()) continue;  // dispatch() handles the free case
-      bool anyDraining = false;
-      for (JobId r : occupants) {
-        simulator.counters().inc(obs::Counter::Preemptions);
-        SPS_TRACE(&simulator.recorder(),
-                  obs::instant("policy", "preempt", simulator.now(), r)
-                      .arg("for", id));
-        simulator.suspendJob(r);
-        ++preemptions_;
-        if (simulator.state(r) == sim::JobState::Suspending)
-          anyDraining = true;
-      }
-      if (anyDraining) {
-        claims_.push_back({id, /*exact=*/true});
-        claimsDirty_ = true;
-      } else {
-        simulator.resumeJob(id);
-      }
-    } else {
-      // Fresh preemptor: collect the lowest-priority eligible victims until
-      // free + gain covers the request (pseudocode label suspend_jobs_1).
-      // Under the lease discipline, processors owed to OTHER suspended jobs
-      // are not usable — the preemptor runs on its victims' processors plus
-      // unowed free ones.
-      refreshFences();
-      if (freeNow >= width) continue;  // dispatch() handles the free case
-
-      std::vector<JobId> candidates;
-      std::uint32_t gain = 0;
-      for (JobId r : runningAsc) {
-        // runningAsc is ascending in priority and xfactor is a pure
-        // function of the (fixed) clock, so once the suspension-factor test
-        // fails here it fails for every later victim too — victimEligible
-        // cannot pass past this point.
-        if (priority < config_.suspensionFactor * simulator.xfactor(r)) break;
-        if (!victimEligible(simulator, r, priority, width,
-                            /*reentry=*/false))
-          continue;
-        candidates.push_back(r);
-        gain += simulator.job(r).procs;
-        if (freeNow + gain >= width) break;
-      }
-      if (freeNow + gain < width) continue;
-      executeFreshPreemption(simulator, id, width, freeNow, candidates);
-    }
-  }
-}
-
-void SelectiveSuspension::preemptionPassIncremental(
-    sim::Simulator& simulator) {
-  SPS_PROF(1);
+void SelectiveSuspension::preemptionPass(sim::Simulator& simulator) {
+  SPS_TRACE(&simulator.recorder(),
+            obs::instant("policy", "ss.preemptionPass", simulator.now()));
+  // "The reference" below is check::ReferenceSelectiveSuspension's pass:
+  // sort the running set at pass start, walk a fresh idle sort, and test
+  // every victim per candidate. Each shortcut here is argued against it.
+  //
   // No running jobs: the candidate walk below could only hit the
   // decision-free continue arms (argued per arm), so skip it outright.
   if (victimIndex_.empty()) return;

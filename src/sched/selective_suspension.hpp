@@ -28,6 +28,13 @@
 //    category limit (1.5 x that category's average slowdown under NS) may
 //    not be preempted, which caps worst-case slowdown/turnaround without
 //    hurting the averages.
+//
+// One algorithm: the kernel indexes (PriorityIndex over the idle jobs,
+// VictimIndex over the running ones) and the event fast paths (arrival
+// shortcut, tick gate, claim gate, walk fast-outs) are always on. Their
+// reference is check::ReferenceSelectiveSuspension, which re-sorts and
+// re-scans on every decision; the golden suite, DiffHarness and
+// test_ss_differential pin the two bit-identical.
 #pragma once
 
 #include <array>
@@ -94,10 +101,6 @@ struct SsConfig {
   /// completions. Mutually exclusive with tssLimits.
   std::optional<double> tssOnlineMultiplier;
   std::size_t tssOnlineMinSamples = 20;
-
-  /// Maintenance mode of the kernel priority index (sched/core). Rebuild
-  /// re-sorts the idle set on every walk, as the seed implementation did.
-  kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
 class SelectiveSuspension final : public sim::SchedulingPolicy {
@@ -132,6 +135,11 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
   /// oracle can assert every suspension honoured it.
   [[nodiscard]] std::optional<double> victimProtectionLimit(
       const sim::Simulator& s, JobId job) const;
+
+  /// The idle-priority index, for the sps::check index audit.
+  [[nodiscard]] const kernel::PriorityIndex& idleIndex() const {
+    return idleIndex_;
+  }
 
  private:
   /// A preemptor that paid for suspensions whose processors are still
@@ -168,27 +176,18 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
                                     std::uint32_t preemptorWidth,
                                     bool reentry) const;
 
-  /// Idle jobs (Queued + Suspended) ordered by descending priority; ties
-  /// broken by submit time then id for determinism. Snapshot of the kernel
-  /// priority index; callers skip claimants (and anything that changed
-  /// state mid-walk) at the point of use.
-  [[nodiscard]] std::vector<JobId> idleByPriority(const sim::Simulator& s);
-
   /// Start/resume everything that fits on unclaimed free processors,
   /// claimants first. Runs on every event.
   void dispatch(sim::Simulator& simulator);
 
-  /// The paper's preemption routine (pseudocode, Section IV-C). Runs on the
-  /// periodic timer; dispatches by kernel mode.
+  /// The paper's preemption routine (pseudocode, Section IV-C), run on the
+  /// periodic timer: VictimIndex range queries, a gain bound and a 16-way
+  /// merge over the gate's candidate prefix. It makes the same decisions as
+  /// the rebuild-shaped check::ReferenceSelectiveSuspension (argued inline)
+  /// for a fraction of the work.
   void preemptionPass(sim::Simulator& simulator);
-  /// Reference shape: sort the whole running set, test every victim per
-  /// candidate. The bit-identical baseline the golden suite pins.
-  void preemptionPassRebuild(sim::Simulator& simulator);
-  /// Indexed shape: VictimIndex range queries + gain bound + 16-way merge.
-  /// Same decisions as Rebuild (argued inline), a fraction of the work.
-  void preemptionPassIncremental(sim::Simulator& simulator);
 
-  /// Tick gate (Incremental only): one sweep over the idle jobs that both
+  /// Tick gate: one sweep over the idle jobs that both
   /// decides skippability and gathers the pass's working set. Returns true
   /// when this tick's pass is provably a no-op — every idle candidate's
   /// priority is below SF x the weakest running priority, so every SF test
@@ -201,7 +200,7 @@ class SelectiveSuspension final : public sim::SchedulingPolicy {
 
   /// Suspend `victims` on behalf of preemptor `id` needing `width` procs
   /// beyond `freeNow`: widest-first until covered, then claim or place the
-  /// preemptor. The tail shared verbatim by both pass shapes.
+  /// preemptor.
   void executeFreshPreemption(sim::Simulator& simulator, JobId id,
                               std::uint32_t width, std::uint32_t freeNow,
                               std::vector<JobId>& victims);

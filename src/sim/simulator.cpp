@@ -140,7 +140,6 @@ JobId Simulator::submit(workload::Job job) {
   states_.push_back(JobState::NotArrived);
   listPos_.push_back(0);
   ++unfinished_;
-  ++epoch_;  // trace contents are scheduler-visible state
   return job.id;
 }
 
@@ -217,7 +216,6 @@ void Simulator::dispatchOne() {
     steadySnapshotTaken_ = true;
   }
   if (e.time != now_) {
-    ++epoch_;
     obs_->counters.inc(obs::Counter::SimClockAdvances);
     const Time prev = now_;
     now_ = e.time;
@@ -458,7 +456,6 @@ void Simulator::suspendJob(JobId id) {
 }
 
 void Simulator::notifyStateChange(JobId id, JobState from, JobState to) {
-  ++epoch_;
   obs::Counters& c = obs_->counters;
   c.inc(obs::Counter::SimTransitions);
   if (to == JobState::Running) {

@@ -5,8 +5,9 @@
 // end-to-end (that is the point of the oracle), so the fire half drives the
 // validator cores with corrupted streams directly, and — for the run-level
 // guarantee/TSS checks — uses the InvariantChecker probe seams to make a
-// healthy run look like the policy lied. The silent half runs every kernel
-// policy under both kernel modes with everything armed at stride 1.
+// healthy run look like the policy lied. The silent half runs every policy
+// in both lanes (production and check::referencePolicy) with everything
+// armed at stride 1.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -281,25 +282,21 @@ TEST(InvariantChecker, CorruptedLedgerProfileFires) {
 // --- golden runs stay silent ----------------------------------------------
 
 TEST(InvariantChecker, EveryPolicyBothKernelModesSilent) {
-  // Adversarial (but healthy) workload through every fuzz policy token
-  // under both kernel modes with everything armed at stride 1 — the
-  // oracle's false-positive budget is zero.
+  // Adversarial (but healthy) workload through every fuzz policy token in
+  // both lanes (production and check::referencePolicy) with everything
+  // armed at stride 1 — the oracle's false-positive budget is zero.
   const workload::Trace trace = makeFuzzTrace(2026);
   for (const std::string& token : fuzzPolicyTokens()) {
     SCOPED_TRACE(token);
-    for (bool incremental : {true, false}) {
-      SCOPED_TRACE(incremental ? "incremental" : "rebuild");
+    for (const Lane lane : {Lane::Production, Lane::Reference}) {
+      SCOPED_TRACE(laneName(lane));
       FuzzCase c;
       c.policyToken = token;
       c.overhead = false;
       c.trace = trace;
       const DiffHarness harness;
       std::string violation;
-      (void)harness.runOnce(c,
-                            incremental
-                                ? sched::kernel::KernelMode::Incremental
-                                : sched::kernel::KernelMode::Rebuild,
-                            &violation);
+      (void)harness.runOnce(c, lane, &violation);
       EXPECT_EQ(violation, "");
     }
   }

@@ -1,10 +1,11 @@
 // Differential suite for EASY's one-pass backfill scan. sched::EasyBackfill
 // computes the head's shadow once per pass and keeps it current across
-// starts; the reference (easy_reference.hpp) recomputes it and rescans the
-// queue after every start. On seeded CTC and SDSC traces, in both queue
-// orders, under exact and Modal estimates, both kernel modes, and with
-// mid-run cancellations, the two must produce bit-identical schedules and
-// identical backfill-start, full-pass and arrival-fast-path counts. The
+// starts; the reference (check/reference/easy_reference.hpp) recomputes it
+// and rescans the queue after every start. On seeded CTC and SDSC traces,
+// in both queue orders, under exact and Modal estimates, both kernel modes,
+// and with mid-run cancellations, the two must produce bit-identical
+// schedules and identical backfill-start, full-pass and arrival-fast-path
+// counts. The
 // unit cases at the bottom pin the edges the one-pass argument leans on.
 #include <gtest/gtest.h>
 
@@ -14,7 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "easy_reference.hpp"
+#include "check/reference/easy_reference.hpp"
 #include "helpers.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
@@ -92,7 +93,7 @@ Outcome runOnePass(const workload::Trace& trace, QueueOrder order,
 Outcome runReference(const workload::Trace& trace, QueueOrder order,
                  KernelMode mode, Time cancelStride = 0,
                  bool arrivalFastPath = true) {
-  test::RestartScanEasy policy(order, mode, arrivalFastPath);
+  check::RestartScanEasy policy(order, mode, arrivalFastPath);
   return runPolicy(trace, policy, cancelStride);
 }
 

@@ -1,10 +1,10 @@
-// Golden-equivalence suite for the scheduling kernel (ISSUE: incremental
-// scheduling kernel). Every policy runs the same seeded synthetic trace
-// twice — once with KernelMode::Incremental (the kernel's amortized
-// maintenance) and once with KernelMode::Rebuild (the pre-kernel,
-// reconstruct-per-event behaviour kept as the reference) — and the two
-// schedules must be bit-identical: the full (time, job, from, to)
-// transition sequence, not just summary statistics.
+// Golden-equivalence suite for the scheduling kernel. Every policy runs the
+// same seeded synthetic trace twice — once as the production class
+// (makePolicy: the kernel's amortized maintenance and fast paths) and once
+// as its reference (check::referencePolicy: the reconstruct-per-event
+// shape kept as an oracle) — and the two schedules must be bit-identical:
+// the full (time, job, from, to) transition sequence, not just summary
+// statistics.
 //
 // Labeled perf-smoke: `ctest -L perf-smoke` runs exactly this suite plus
 // the small end-to-end sweep at the bottom, which is the gate the bench
@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "check/reference/reference_policy.hpp"
 #include "core/simulation.hpp"
 #include "helpers.hpp"
 #include "sched/overhead.hpp"
@@ -27,7 +28,8 @@
 namespace sps {
 namespace {
 
-using sched::kernel::KernelMode;
+using check::Lane;
+using check::lanePolicy;
 
 /// One job state transition, exactly as the simulator reported it.
 using Transition = std::tuple<Time, JobId, int, int>;
@@ -39,12 +41,10 @@ struct Schedule {
   std::vector<std::uint32_t> suspendCount;
 };
 
-using sched::withKernelMode;
-
 Schedule runSchedule(const workload::Trace& trace,
-                     const core::PolicySpec& spec, KernelMode mode,
+                     const core::PolicySpec& spec, Lane lane,
                      const sim::OverheadPolicy* overhead) {
-  const auto policy = core::makePolicy(withKernelMode(spec, mode));
+  const auto policy = lanePolicy(spec, lane);
   sim::Simulator::Config config;
   config.overhead = overhead;
   sim::Simulator simulator(trace, *policy, config);
@@ -74,8 +74,8 @@ void expectIdentical(const Schedule& a, const Schedule& b,
     const auto& [ta, ja, fa, sa] = a.transitions[i];
     const auto& [tb, jb, fb, sb] = b.transitions[i];
     FAIL() << context << ": schedules diverge at transition " << i
-           << " — incremental (t=" << ta << " job=" << ja << " " << fa << "->"
-           << sa << ") vs rebuild (t=" << tb << " job=" << jb << " " << fb
+           << " — production (t=" << ta << " job=" << ja << " " << fa << "->"
+           << sa << ") vs reference (t=" << tb << " job=" << jb << " " << fb
            << "->" << sb << ")";
   }
   EXPECT_EQ(a.transitions.size(), b.transitions.size()) << context;
@@ -156,15 +156,15 @@ TEST_P(GoldenEquivalence, IncrementalMatchesRebuild) {
       for (const sim::OverheadPolicy* overhead :
            {static_cast<const sim::OverheadPolicy*>(nullptr),
             static_cast<const sim::OverheadPolicy*>(&swap)}) {
-        const Schedule inc =
-            runSchedule(trace, spec, KernelMode::Incremental, overhead);
-        const Schedule reb =
-            runSchedule(trace, spec, KernelMode::Rebuild, overhead);
+        const Schedule production =
+            runSchedule(trace, spec, Lane::Production, overhead);
+        const Schedule reference =
+            runSchedule(trace, spec, Lane::Reference, overhead);
         std::ostringstream context;
         context << label << " on " << traceKind << "/" << jobCount
                 << (inaccurate ? " modal-estimates" : " exact-estimates")
                 << (overhead ? " +overhead" : "");
-        expectIdentical(inc, reb, context.str());
+        expectIdentical(production, reference, context.str());
       }
     }
   }
@@ -179,7 +179,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(paramInfo.param));
     });
 
-// The deferred-start edge both kernel modes must agree on: C's anchor lands
+// The deferred-start edge both lanes must agree on: C's anchor lands
 // at t=10 while A and B's completion events are still pending in the same
 // timestamp batch, so the profile says "start now" before the machine can.
 // The startNow test (anchor == now AND physically fits) defers the start to
@@ -187,27 +187,26 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GoldenEquivalenceEdge, DeferredStartAtAnchorEqualsNow) {
   const auto trace =
       test::makeTrace(4, {{0, 10, 2}, {0, 10, 2}, {1, 5, 4}});
-  for (const KernelMode mode : {KernelMode::Incremental, KernelMode::Rebuild}) {
+  for (const Lane lane : {Lane::Production, Lane::Reference}) {
     core::PolicySpec spec;
     spec.kind = core::PolicyKind::Conservative;
-    const Schedule s = runSchedule(trace, spec, mode, nullptr);
+    const Schedule s = runSchedule(trace, spec, lane, nullptr);
     EXPECT_EQ(s.firstStart[0], 0);
     EXPECT_EQ(s.firstStart[1], 0);
-    EXPECT_EQ(s.firstStart[2], 10) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(s.firstStart[2], 10) << check::laneName(lane);
     EXPECT_EQ(s.finish[2], 15);
   }
 }
 
 // Small end-to-end sweep (the second half of the perf-smoke gate): every
-// policy × both kernel modes completes a short SDSC run with sane metrics.
+// policy × both lanes completes a short SDSC run with sane metrics.
 TEST(PerfSmokeSweep, AllPoliciesCompleteWithSaneStats) {
   const workload::Trace trace =
       generateTrace(workload::sdscConfig(300, 7));
   for (const auto& [label, spec] : kernelPolicies()) {
-    for (const KernelMode mode :
-         {KernelMode::Incremental, KernelMode::Rebuild}) {
+    for (const Lane lane : {Lane::Production, Lane::Reference}) {
       const metrics::RunStats stats =
-          core::runSimulation(trace, withKernelMode(spec, mode));
+          core::runSimulation(trace, lanePolicy(spec, lane));
       EXPECT_EQ(stats.jobs.size(), trace.jobs.size()) << label;
       EXPECT_GT(stats.utilization, 0.0) << label;
       EXPECT_LE(stats.utilization, 1.0) << label;

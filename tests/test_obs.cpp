@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/reference/reference_policy.hpp"
 #include "core/experiment.hpp"
 #include "core/runner.hpp"
 #include "core/simulation.hpp"
@@ -28,7 +29,6 @@ namespace sps {
 namespace {
 
 using obs::Counter;
-using sched::kernel::KernelMode;
 
 // --- counters ---------------------------------------------------------------
 
@@ -297,11 +297,11 @@ TEST(TraceGate, ChromeTraceOfARunValidates) {
 
 // --- counters vs. the kernel's golden equivalence ---------------------------
 
-/// The acceptance bar: on the same workload, Incremental and Rebuild kernel
-/// modes must agree on every schedule-derived counter — suspensions (total
-/// and per category) and backfill starts. Ledger/index operation counts
-/// legitimately differ (they measure the kernel's internal work, not the
-/// schedule) and are excluded.
+/// The acceptance bar: on the same workload, the production policy and its
+/// check::referencePolicy lane must agree on every schedule-derived counter
+/// — suspensions (total and per category) and backfill starts. Ledger/index
+/// operation counts legitimately differ (they measure the kernel's internal
+/// work, not the schedule) and are excluded.
 TEST(KernelModeCounters, SuspensionAndBackfillCountsAreModeInvariant) {
   const auto trace = workload::generateTrace(workload::sdscConfig(400, 42));
   std::vector<core::PolicySpec> specs;
@@ -319,32 +319,26 @@ TEST(KernelModeCounters, SuspensionAndBackfillCountsAreModeInvariant) {
     is.kind = core::PolicyKind::ImmediateService;
     specs.push_back(is);
   }
-  for (core::PolicySpec spec : specs) {
-    spec.easy.kernelMode = KernelMode::Incremental;
-    spec.ss.kernelMode = KernelMode::Incremental;
-    spec.depth.kernelMode = KernelMode::Incremental;
-    spec.is.kernelMode = KernelMode::Incremental;
-    const metrics::RunStats inc = core::runSimulation(trace, spec);
-    spec.easy.kernelMode = KernelMode::Rebuild;
-    spec.ss.kernelMode = KernelMode::Rebuild;
-    spec.depth.kernelMode = KernelMode::Rebuild;
-    spec.is.kernelMode = KernelMode::Rebuild;
-    const metrics::RunStats reb = core::runSimulation(trace, spec);
+  for (const core::PolicySpec& spec : specs) {
+    const metrics::RunStats production = core::runSimulation(trace, spec);
+    const metrics::RunStats reference =
+        core::runSimulation(trace, check::referencePolicy(spec));
 
-    EXPECT_EQ(inc.counters.value(Counter::SimSuspensions),
-              reb.counters.value(Counter::SimSuspensions))
-        << inc.policyName;
-    EXPECT_EQ(inc.counters.suspensionsByCategory(),
-              reb.counters.suspensionsByCategory())
-        << inc.policyName;
-    EXPECT_EQ(inc.counters.value(Counter::BackfillStarts),
-              reb.counters.value(Counter::BackfillStarts))
-        << inc.policyName;
-    EXPECT_EQ(inc.counters.value(Counter::SimSuspensions), inc.suspensions)
-        << inc.policyName;
-    EXPECT_EQ(inc.counters.value(Counter::SimStarts),
-              reb.counters.value(Counter::SimStarts))
-        << inc.policyName;
+    EXPECT_EQ(production.counters.value(Counter::SimSuspensions),
+              reference.counters.value(Counter::SimSuspensions))
+        << production.policyName;
+    EXPECT_EQ(production.counters.suspensionsByCategory(),
+              reference.counters.suspensionsByCategory())
+        << production.policyName;
+    EXPECT_EQ(production.counters.value(Counter::BackfillStarts),
+              reference.counters.value(Counter::BackfillStarts))
+        << production.policyName;
+    EXPECT_EQ(production.counters.value(Counter::SimSuspensions),
+              production.suspensions)
+        << production.policyName;
+    EXPECT_EQ(production.counters.value(Counter::SimStarts),
+              reference.counters.value(Counter::SimStarts))
+        << production.policyName;
   }
 }
 

@@ -1,15 +1,15 @@
 // sps_fuzz — differential scheduling fuzzer (sps::check::DiffHarness).
 //
 // Each iteration draws one adversarial workload (makeFuzzTrace corner
-// shapes) and runs it through every fuzz policy token under BOTH kernel
-// modes with the invariant oracle armed at stride 1. Any schedule
-// divergence or invariant firing is a bug by construction: the case is
-// shrunk with the greedy job-removal minimizer and written as a
-// self-contained .repro file that tests/test_fuzz_corpus.cpp replays.
+// shapes) and runs it through every fuzz policy token in BOTH lanes — the
+// production policy and its check::referencePolicy — with the invariant
+// oracle armed at stride 1. Any schedule divergence or invariant firing is
+// a bug by construction: the case is shrunk with the greedy job-removal
+// minimizer and written as a self-contained .repro file that
+// tests/test_fuzz_corpus.cpp replays.
 //
-// Three lanes per case: the kernel diff (Incremental vs Rebuild), the
-// ingest-boundary diff (batch vs seeded streamed replay), and the
-// federation diff (the case partitioned across a seeded shard count and
+// Three diffs per case: production vs reference, the ingest-boundary diff
+// (batch vs seeded streamed replay), and the federation diff (the case partitioned across a seeded shard count and
 // router must equal its per-shard single-cluster replays bit for bit —
 // fed::diffFederated). Repros carry the federated parameters (shards /
 // router / delay lines) and replay through the right lane automatically.
@@ -53,13 +53,13 @@ struct FuzzOptions {
 core::CliConfig makeCli(FuzzOptions& opt) {
   core::CliConfig cli(
       "sps_fuzz",
-      "differential scheduling fuzzer: every policy under both kernel "
-      "modes\nwith the sps::check invariant oracle armed; divergences "
+      "differential scheduling fuzzer: every policy, production vs "
+      "reference,\nwith the sps::check invariant oracle armed; divergences "
       "shrink to .repro files");
   cli.section("Fuzzing");
   cli.option("--runs", &opt.runs, "N",
-             "fuzz iterations; each runs every selected policy under both "
-             "kernel modes (default: 200)");
+             "fuzz iterations; each runs every selected policy in both "
+             "lanes (default: 200)");
   cli.option("--seed", &opt.seed, "S",
              "base seed; case seeds derive deterministically (default: 1)");
   cli.option("--policy", &opt.policy, "TOKEN",
@@ -207,8 +207,8 @@ int main(int argc, char** argv) {
       }
       // Ingest-boundary lane: the same case replayed through the streaming
       // API in seeded coarse segments must match its batch schedule bit for
-      // bit under both kernel modes. Streamed failures are emitted unshrunk
-      // (the minimizer's oracle is the kernel diff, not this one); --replay
+      // bit in both lanes. Streamed failures are emitted unshrunk (the
+      // minimizer's oracle is the production/reference diff); --replay
       // runs this lane too, with the case seed derived from --seed.
       outcome = harness.diffStreamed(c, caseSeed);
       ++diffs;
@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   if (!opt.quiet)
     std::cout << "sps_fuzz: " << diffs << " diffs clean ("
               << tokens.size() << " policies x " << opt.runs
-              << " iterations, both kernel modes, oracle stride "
+              << " iterations, production vs reference, oracle stride "
               << opt.stride << ")\n";
   return 0;
 }
