@@ -4,9 +4,10 @@
 // the standing trust argument for scheduling simulators. Every case runs
 // twice with the invariant oracle armed: once on the production policy
 // (makePolicy) and once on its reference (check::referencePolicy — the
-// rebuild-shaped SS, the restart-scan EASY, or the ledger-rebuild mode of
-// the other kernel policies). The harness diffs the full schedules; any
-// divergence or invariant firing is a bug by construction.
+// rebuild-shaped SS, the restart-scan EASY, the compress-on-every-
+// completion conservative or the re-anchor-on-every-event depth-K). The
+// harness diffs the full schedules; any divergence or invariant firing is
+// a bug by construction.
 //
 // A failing case shrinks via a greedy job-removal minimizer and round-trips
 // through a self-contained text repro file (policy token + overhead flag +
@@ -48,7 +49,7 @@ struct FuzzCase {
   Time fedDelay = 0;
 };
 
-/// Parse a policy token into a spec (kernel mode left at default). Throws
+/// Parse a policy token into a spec. Throws
 /// InputError on an unknown token. The "tss:" bootstrap marker is resolved
 /// by the harness, which owns the trace.
 [[nodiscard]] core::PolicySpec policyFromToken(const std::string& token);

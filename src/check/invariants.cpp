@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "check/reference/conservative_reference.hpp"
+#include "check/reference/depth_reference.hpp"
 #include "obs/counters.hpp"
 #include "sched/conservative.hpp"
 #include "sched/core/priority_index.hpp"
@@ -202,7 +204,8 @@ void InvariantChecker::arm(sim::Simulator& simulator,
   armed_ = true;
 
   // Probe discovery by policy type. The reservation-based policies expose
-  // their kernel ledger and guarantee oracle; SS exposes its protection
+  // their kernel ledger and guarantee oracle (their references, which keep
+  // no ledger, the guarantee oracle alone); SS exposes its protection
   // limit, SS and IS their priority index. Policies outside these families
   // still get the policy-agnostic checkers (capacity / conservation).
   if (const auto* c = dynamic_cast<const sched::ConservativeBackfill*>(
@@ -215,6 +218,14 @@ void InvariantChecker::arm(sim::Simulator& simulator,
     ledger_ = &d->ledger();
     if (!guaranteeProbe_)
       guaranteeProbe_ = [d](JobId id) { return d->guaranteeOf(id); };
+  } else if (const auto* rc =
+                 dynamic_cast<const ReferenceConservative*>(&policy)) {
+    if (!guaranteeProbe_)
+      guaranteeProbe_ = [rc](JobId id) { return rc->guaranteeOf(id); };
+  } else if (const auto* rd =
+                 dynamic_cast<const ReferenceDepthBackfill*>(&policy)) {
+    if (!guaranteeProbe_)
+      guaranteeProbe_ = [rd](JobId id) { return rd->guaranteeOf(id); };
   } else if (const auto* e = dynamic_cast<const sched::EasyBackfill*>(
                  &policy)) {
     ledger_ = &e->ledger();

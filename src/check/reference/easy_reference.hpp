@@ -1,19 +1,19 @@
 // Restart-scan EASY: the backfill pass sched::EasyBackfill ran before it
-// scanned the queue once per pass. After every backfill start it refreshes
-// the ledger, recomputes the head's shadow and rescans the queue from the
-// second entry. It is the differential reference the one-pass scan must
-// reproduce: same schedules, and the same backfill-start, full-pass and
-// arrival-fast-path counts. check::referencePolicy returns it for EASY and
-// SJF-backfill.
+// scanned the queue once per pass. After every backfill start it rebuilds
+// the profile of running jobs, recomputes the head's shadow and rescans
+// the queue from the second entry. It uses neither the kernel's
+// reservation ledger nor its backfill engine (rebuilt_profile.hpp restates
+// the shadow and backfill rules). It is the differential reference the
+// one-pass scan must reproduce: same schedules, and the same
+// backfill-start, full-pass and arrival-fast-path counts.
+// check::referencePolicy returns it for EASY and SJF-backfill.
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
+#include "check/reference/rebuilt_profile.hpp"
 #include "obs/counters.hpp"
-#include "obs/trace.hpp"
-#include "sched/core/backfill_engine.hpp"
-#include "sched/core/reservation_ledger.hpp"
 #include "sched/easy.hpp"
 #include "sim/policy.hpp"
 #include "sim/simulator.hpp"
@@ -25,27 +25,25 @@ class RestartScanEasy final : public sim::SchedulingPolicy {
  public:
   /// `arrivalFastPath` = false sends every arrival through a full pass, so
   /// the reference also checks the production arrival fast path.
-  RestartScanEasy(sched::QueueOrder order, sched::kernel::KernelMode mode,
-                  bool arrivalFastPath = true)
-      : order_(order), fastPath_(arrivalFastPath), ledger_(mode) {}
+  explicit RestartScanEasy(sched::QueueOrder order,
+                           bool arrivalFastPath = true)
+      : order_(order), fastPath_(arrivalFastPath) {}
 
   [[nodiscard]] std::string name() const override { return "restart-scan"; }
   [[nodiscard]] bool supportsCancel() const override { return true; }
   [[nodiscard]] std::uint64_t backfillCount() const { return backfills_; }
 
-  void onSimulationStart(sim::Simulator& simulator) override {
-    ledger_.attach(simulator);
+  void onSimulationStart(sim::Simulator& /*simulator*/) override {
     queue_.clear();
   }
 
   void onJobArrival(sim::Simulator& simulator, JobId job) override {
     enqueue(simulator, job);
     if (fastPath_ && queue_.size() > 1 && queue_.front() != job) {
-      ledger_.refresh(simulator);
-      if (ledger_.zombieProcsAt(simulator.now()) == 0) {
+      if (zombieProcs(simulator) == 0) {
         simulator.counters().inc(obs::Counter::ArrivalFastPaths);
-        const auto shadow = engine_.shadowOf(simulator, queue_.front());
-        if (engine_.canBackfill(simulator, job, shadow)) {
+        const auto shadow = shadowAgainstRunning(simulator, queue_.front());
+        if (backfillsUnder(simulator, job, shadow)) {
           queue_.erase(std::find(queue_.begin(), queue_.end(), job));
           simulator.counters().inc(obs::Counter::BackfillStarts);
           simulator.startJob(job);
@@ -97,11 +95,10 @@ class RestartScanEasy final : public sim::SchedulingPolicy {
     bool progress = true;
     while (progress && !queue_.empty()) {
       progress = false;
-      ledger_.refresh(simulator);
-      const auto shadow = engine_.shadowOf(simulator, queue_.front());
+      const auto shadow = shadowAgainstRunning(simulator, queue_.front());
       for (std::size_t i = 1; i < queue_.size(); ++i) {
         const JobId id = queue_[i];
-        if (!engine_.canBackfill(simulator, id, shadow)) continue;
+        if (!backfillsUnder(simulator, id, shadow)) continue;
         simulator.counters().inc(obs::Counter::BackfillStarts);
         simulator.startJob(id);
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -114,8 +111,6 @@ class RestartScanEasy final : public sim::SchedulingPolicy {
 
   sched::QueueOrder order_;
   bool fastPath_;
-  sched::kernel::ReservationLedger ledger_;
-  sched::kernel::BackfillEngine engine_{ledger_};
   std::vector<JobId> queue_;
   std::uint64_t backfills_ = 0;
 };

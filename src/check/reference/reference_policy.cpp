@@ -1,5 +1,7 @@
 #include "check/reference/reference_policy.hpp"
 
+#include "check/reference/conservative_reference.hpp"
+#include "check/reference/depth_reference.hpp"
 #include "check/reference/easy_reference.hpp"
 #include "check/reference/ss_reference.hpp"
 
@@ -11,11 +13,13 @@ std::unique_ptr<sim::SchedulingPolicy> referencePolicy(
     case sched::PolicyKind::SelectiveSuspension:
       return std::make_unique<ReferenceSelectiveSuspension>(spec.ss);
     case sched::PolicyKind::Easy:
-      return std::make_unique<RestartScanEasy>(
-          spec.easy.order, sched::kernel::KernelMode::Rebuild);
+      return std::make_unique<RestartScanEasy>(spec.easy.order);
+    case sched::PolicyKind::Conservative:
+      return std::make_unique<ReferenceConservative>();
+    case sched::PolicyKind::DepthBackfill:
+      return std::make_unique<ReferenceDepthBackfill>(spec.depth);
     default:
-      return sched::makePolicy(
-          sched::withKernelMode(spec, sched::kernel::KernelMode::Rebuild));
+      return sched::makePolicy(spec);
   }
 }
 

@@ -20,8 +20,15 @@ namespace sps::check {
 ///    idle set afresh on every walk and uses no kernel index;
 ///  * EASY and SJF-backfill: RestartScanEasy, which recomputes the shadow
 ///    and rescans the queue after every backfill start;
-///  * every other policy: makePolicy(withKernelMode(spec, Rebuild)), the
-///    production class over a ledger rebuilt on every refresh.
+///  * conservative: ReferenceConservative, which compresses on every
+///    completion;
+///  * depth-K: ReferenceDepthBackfill, which re-anchors on every arrival
+///    and completion;
+///  * FCFS, IS and gang: makePolicy(spec) itself; they have no second
+///    shape to diff against.
+/// The EASY, conservative and depth references rebuild their availability
+/// profile from the running set at every decision point and share no code
+/// with the kernel ledger they check.
 [[nodiscard]] std::unique_ptr<sim::SchedulingPolicy> referencePolicy(
     const sched::PolicySpec& spec);
 

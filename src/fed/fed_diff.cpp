@@ -9,7 +9,6 @@
 #include "fed/federation.hpp"
 #include "metrics/openmetrics.hpp"
 #include "sched/overhead.hpp"
-#include "sched/policy_factory.hpp"
 #include "util/check.hpp"
 
 namespace sps::fed {
@@ -19,11 +18,6 @@ namespace {
 using check::CheckConfig;
 using check::DiffOutcome;
 using check::FuzzCase;
-using sched::kernel::KernelMode;
-
-[[nodiscard]] const char* modeName(KernelMode mode) {
-  return mode == KernelMode::Rebuild ? "rebuild" : "incremental";
-}
 
 /// One single-cluster batch run of a shard's induced trace, configured
 /// exactly as the federation configured that shard: same resolved spec,
@@ -44,12 +38,14 @@ using sched::kernel::KernelMode;
   return core::runSimulation(shard, spec, options);
 }
 
-[[nodiscard]] DiffOutcome diffMode(const FuzzCase& c,
-                                   const CheckConfig& checks,
-                                   std::size_t threads, KernelMode mode) {
+}  // namespace
+
+DiffOutcome diffFederated(const FuzzCase& c, const CheckConfig& checks,
+                          std::size_t threads) {
+  SPS_CHECK_MSG(c.fedShards > 0,
+                "diffFederated: case has no federated lane (fedShards == 0)");
   DiffOutcome out;
-  const core::PolicySpec spec =
-      sched::withKernelMode(check::resolveCaseSpec(c), mode);
+  const core::PolicySpec spec = check::resolveCaseSpec(c);
 
   FederationConfig config;
   config.shards = c.fedShards;
@@ -68,7 +64,7 @@ using sched::kernel::KernelMode;
                                   fleet.effectiveSubmits, c.fedShards,
                                   c.fedDelay);
   } catch (const InvariantError& e) {
-    out.violation = std::string(modeName(mode)) + ": " + e.what();
+    out.violation = e.what();
     return out;
   }
 
@@ -80,13 +76,12 @@ using sched::kernel::KernelMode;
     Federation federation(c.trace, spec, recorded, config);
     replay = federation.run();
   } catch (const InvariantError& e) {
-    out.violation = std::string(modeName(mode)) + " replay: " + e.what();
+    out.violation = std::string("replay: ") + e.what();
     return out;
   }
   if (replay.assignments != fleet.assignments ||
       replay.effectiveSubmits != fleet.effectiveSubmits) {
-    out.divergence = std::string(modeName(mode)) +
-                     ": recorded-router replay routed the fleet differently";
+    out.divergence = "recorded-router replay routed the fleet differently";
     return out;
   }
 
@@ -97,7 +92,7 @@ using sched::kernel::KernelMode;
     const std::string fedMetrics = metrics::openMetrics(fleet.shards[s]);
     if (metrics::openMetrics(replay.shards[s]) != fedMetrics) {
       std::ostringstream os;
-      os << modeName(mode) << ": shard " << s
+      os << "shard " << s
          << " metrics differ between the live and recorded-router runs";
       out.divergence = os.str();
       return out;
@@ -107,33 +102,19 @@ using sched::kernel::KernelMode;
       batch = runShardBatch(c, spec, shardTraces[s], checks);
     } catch (const InvariantError& e) {
       std::ostringstream os;
-      os << modeName(mode) << " shard " << s << " batch replay: " << e.what();
+      os << "shard " << s << " batch replay: " << e.what();
       out.violation = os.str();
       return out;
     }
     if (metrics::openMetrics(batch) != fedMetrics) {
       std::ostringstream os;
-      os << modeName(mode) << ": shard " << s
+      os << "shard " << s
          << " federation metrics differ from the single-cluster batch run";
       out.divergence = os.str();
       return out;
     }
   }
   return out;
-}
-
-}  // namespace
-
-DiffOutcome diffFederated(const FuzzCase& c, const CheckConfig& checks,
-                          std::size_t threads) {
-  SPS_CHECK_MSG(c.fedShards > 0,
-                "diffFederated: case has no federated lane (fedShards == 0)");
-  for (const KernelMode mode :
-       {KernelMode::Rebuild, KernelMode::Incremental}) {
-    DiffOutcome out = diffMode(c, checks, threads, mode);
-    if (!out.ok()) return out;
-  }
-  return {};
 }
 
 }  // namespace sps::fed

@@ -2,8 +2,8 @@
 //
 // A federation with a recorded router must equal the matching single-
 // cluster batch runs on the per-shard traces it induced, bit for bit.
-// diffFederated runs one fuzz case both ways under BOTH kernel modes with
-// the invariant oracle armed on every shard, audits fleet conservation,
+// diffFederated runs one fuzz case both ways, once, with the invariant
+// oracle armed on every shard, audits fleet conservation,
 // and compares each shard's collected RunStats through the OpenMetrics
 // exposition — a strict string equality that covers the schedule-derived
 // statistics, the full counter block, and the 16-category suspension
@@ -18,9 +18,10 @@
 
 namespace sps::fed {
 
-/// Run `c` (which must have fedShards > 0) as a federation and diff it
-/// against its per-shard single-cluster replay under both kernel modes,
-/// as DiffHarness does. `threads` sizes the shard pool (0 = hardware).
+/// Run `c` (which must have fedShards > 0) as a federation of production
+/// policies and diff it against its per-shard single-cluster replay.
+/// Production against reference is DiffHarness's job, not this one's.
+/// `threads` sizes the shard pool (0 = hardware).
 [[nodiscard]] check::DiffOutcome diffFederated(
     const check::FuzzCase& c,
     const check::CheckConfig& checks = check::CheckConfig::all(1),

@@ -13,7 +13,6 @@ const char* counterName(Counter counter) {
     case Counter::LedgerAddBusy: return "kernel.ledger.addBusy";
     case Counter::LedgerRemoveBusy: return "kernel.ledger.removeBusy";
     case Counter::LedgerShiftOrigins: return "kernel.ledger.shiftOrigins";
-    case Counter::LedgerRebuilds: return "kernel.ledger.rebuilds";
     case Counter::LedgerReservationsAdded:
       return "kernel.ledger.reservationsAdded";
     case Counter::LedgerReservationsRemoved:

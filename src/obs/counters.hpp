@@ -35,8 +35,7 @@ enum class Counter : std::uint8_t {
   // --- scheduling kernel: reservation ledger (sched/core/) ---------------
   LedgerAddBusy,       ///< busy intervals entered into the profile
   LedgerRemoveBusy,    ///< busy intervals released from the profile
-  LedgerShiftOrigins,  ///< incremental refreshes (origin advance only)
-  LedgerRebuilds,      ///< full profile reconstructions (Rebuild refresh)
+  LedgerShiftOrigins,  ///< refreshes (origin advance)
   LedgerReservationsAdded,
   LedgerReservationsRemoved,
   // --- scheduling kernel: priority index ---------------------------------

@@ -48,11 +48,10 @@ void ConservativeBackfill::onJobCompletion(sim::Simulator& simulator,
   // strictly before that start, where none of the (later-starting)
   // reservations compression strips could have been the blocker. The full
   // O(reservations x profile) compression therefore reduces to starting
-  // the due (start == now) prefix. Gated on incremental mode so the
-  // Rebuild lane stays the pre-kernel reference behaviour; the golden-
-  // equivalence suite pins the two lanes to identical schedules.
-  if (config_.kernelMode == kernel::KernelMode::Incremental &&
-      kernel::completionPreservesProfile(simulator, job)) {
+  // the due (start == now) prefix. check::ReferenceConservative compresses
+  // on every completion; the differential suites pin the two to identical
+  // schedules.
+  if (kernel::completionPreservesProfile(simulator, job)) {
     simulator.counters().inc(obs::Counter::CompletionFastPaths);
     startDueReservations(simulator);
   } else {

@@ -14,9 +14,10 @@
 // feasible), so guarantees only improve — the paper's no-starvation argument.
 //
 // The profile lives in a sched/core ReservationLedger; this file holds only
-// the decision rule (guarantee ordering + the compression loop). The
-// config's kernel mode selects incremental maintenance or the per-event
-// rebuild the seed implementation used.
+// the decision rule (guarantee ordering + the compression loop, which an
+// on-time completion reduces to starting the due reservations). The
+// compress-on-every-completion shape over a rebuilt profile is kept as
+// the differential reference in sps::check (ReferenceConservative).
 #pragma once
 
 #include <unordered_map>
@@ -28,16 +29,8 @@
 
 namespace sps::sched {
 
-struct ConservativeConfig {
-  kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
-};
-
 class ConservativeBackfill final : public sim::SchedulingPolicy {
  public:
-  ConservativeBackfill() : ConservativeBackfill(ConservativeConfig{}) {}
-  explicit ConservativeBackfill(ConservativeConfig config)
-      : config_(config), ledger_(config.kernelMode) {}
-
   [[nodiscard]] std::string name() const override { return "Conservative"; }
 
   void onSimulationStart(sim::Simulator& simulator) override;
@@ -66,15 +59,14 @@ class ConservativeBackfill final : public sim::SchedulingPolicy {
   /// profile, starting any whose anchor is now. Guarantees must not regress.
   void compress(sim::Simulator& simulator);
 
-  /// Fast-path compression for on-time completions (incremental mode):
-  /// the availability function is unchanged, so every re-anchor would
+  /// Fast-path compression for on-time completions: the availability
+  /// function is unchanged, so every re-anchor would
   /// return the reservation's current start. Only the start == now prefix
   /// can act — start those that physically fit, keep the rest untouched.
   void startDueReservations(sim::Simulator& simulator);
 
   void recordReservation(sim::Simulator& simulator, JobId job, Time start);
 
-  ConservativeConfig config_;
   kernel::ReservationLedger ledger_;
   kernel::BackfillEngine engine_{ledger_};
   std::vector<Reservation> reservations_;  ///< sorted by (start, FCFS rank)

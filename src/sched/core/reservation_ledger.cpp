@@ -9,9 +9,9 @@ namespace sps::sched::kernel {
 namespace {
 /// The scheduler's belief about a running segment: it occupies the machine
 /// for the full user estimate from segment start. Uniform across fresh and
-/// resumed segments (both frozen at segment start, so Incremental and
-/// Rebuild agree exactly); the profile-driven policies are non-preemptive,
-/// so the resumed case is never exercised.
+/// resumed segments (both frozen at segment start, as a from-scratch
+/// rebuild would enter them); the profile-driven policies are
+/// non-preemptive, so the resumed case is never exercised.
 Time beliefEnd(const sim::Simulator& simulator, JobId id) {
   return simulator.exec(id).segStart + simulator.job(id).estimate;
 }
@@ -28,10 +28,8 @@ void ReservationLedger::attach(sim::Simulator& simulator) {
   if (firstAttach) {
     // One registration per ledger lifetime: on re-attach the observer is
     // already in place (stale simulators are filtered by `attached_`).
-    // Registered in BOTH modes — between two refresh() calls the profile
-    // must track jobs the policy starts mid-decision (the seed code's
-    // manual addBusy-after-startJob), and that bookkeeping is identical
-    // either way; the modes differ only in what refresh() itself does.
+    // Between two refresh() calls the profile must track jobs the policy
+    // starts mid-decision, so the running layer follows every transition.
     simulator.observers().onStateChange(
         [this](const sim::Simulator& s, JobId id, sim::JobState from,
                sim::JobState to) {
@@ -42,35 +40,10 @@ void ReservationLedger::attach(sim::Simulator& simulator) {
 
 void ReservationLedger::refresh(const sim::Simulator& simulator) {
   SPS_CHECK_MSG(attached_ == &simulator, "ledger not attached to this run");
-  if (mode_ == KernelMode::Incremental) {
-    simulator.counters().inc(obs::Counter::LedgerShiftOrigins);
-    SPS_TRACE(&simulator.recorder(),
-              obs::instant("kernel", "ledger.shiftOrigin", simulator.now()));
-    profile_.shiftOrigin(simulator.now());
-  } else {
-    simulator.counters().inc(obs::Counter::LedgerRebuilds);
-    SPS_TRACE(&simulator.recorder(),
-              obs::instant("kernel", "ledger.rebuild", simulator.now()));
-    rebuild(simulator);
-  }
-}
-
-void ReservationLedger::rebuild(const sim::Simulator& simulator) {
-  profile_ = AvailabilityProfile(simulator.now(), totalProcs_);
-  running_.clear();
-  byEnd_.clear();
-  for (const JobId id : simulator.runningJobs()) {
-    const Time start = simulator.exec(id).segStart;
-    const Time end = beliefEnd(simulator, id);
-    const std::uint32_t procs = simulator.job(id).procs;
-    profile_.addBusy(start, end, procs);
-    const auto endIt = byEnd_.emplace(end, procs);
-    running_.emplace(id, RunningEntry{start, end, procs, endIt});
-  }
-  for (const auto& [id, entry] : reservations_) {
-    (void)id;
-    profile_.addBusy(entry.start, entry.end, entry.procs);
-  }
+  simulator.counters().inc(obs::Counter::LedgerShiftOrigins);
+  SPS_TRACE(&simulator.recorder(),
+            obs::instant("kernel", "ledger.shiftOrigin", simulator.now()));
+  profile_.shiftOrigin(simulator.now());
 }
 
 void ReservationLedger::onTransition(const sim::Simulator& simulator, JobId id,
@@ -160,7 +133,7 @@ void ReservationLedger::audit(const sim::Simulator& simulator) const {
                                        << simulator.job(id).procs);
   }
   // From-scratch rebuild of the ledger's own layers at the profile's
-  // current origin — exactly what rebuild() would produce — compared as a
+  // current origin, compared as a
   // step function, so incremental-maintenance drift (a bad addBusy /
   // removeBusy / shiftOrigin) cannot hide behind breakpoint layout.
   AvailabilityProfile scratch(profile_.origin(), totalProcs_);

@@ -12,26 +12,20 @@
 //     handed out, entered and released explicitly through addReservation /
 //     removeReservation.
 //
-// Policies call refresh() once at the top of every decision point; in
-// incremental mode that only advances the profile origin to now()
-// (dropping elapsed steps), so the amortized maintenance cost per event is
-// the handful of addBusy/removeBusy calls its transitions actually cause —
-// not a rebuild over every active job.
-//
-// KernelMode::Rebuild keeps the seed behaviour: refresh() reconstructs the
-// profile from the simulator's running set plus the recorded reservations,
-// exactly as conservative.cpp/easy.cpp/depth_backfill.cpp did per event
-// before this kernel existed. The two modes produce bit-identical profiles
-// (the golden-equivalence suite runs every policy under both and asserts
-// identical schedules), and the Rebuild lane doubles as the before/after
-// baseline in bench_micro_engine.
+// Policies call refresh() once at the top of every decision point; it
+// only advances the profile origin to now() (dropping elapsed steps), so
+// the amortized maintenance cost per event is the handful of
+// addBusy/removeBusy calls its transitions actually cause — not a rebuild
+// over every active job. The from-scratch shape (profile rebuilt from the
+// running set plus the reservations at every decision point) lives in the
+// sps::check reference policies, which use no ledger, and in audit().
 //
 // Suspension is effectively out of scope: the ledger drops a job's
 // interval as soon as it leaves Running, and a resumed segment is
-// re-entered with the full user estimate (uniform with fresh starts, so
-// both kernel modes agree bit-for-bit). The policies that anchor against
-// profiles (conservative, EASY, depth) are exactly the non-preemptive
-// ones, so the resumed case is never exercised in practice.
+// re-entered with the full user estimate (uniform with fresh starts, and
+// what a from-scratch rebuild would enter). The policies that anchor
+// against profiles (conservative, EASY, depth) are exactly the
+// non-preemptive ones, so the resumed case is never exercised in practice.
 #pragma once
 
 #include <cstdint>
@@ -48,29 +42,18 @@ enum class JobState : std::uint8_t;
 
 namespace sps::sched::kernel {
 
-/// Maintenance strategy for the kernel's incremental structures. Rebuild is
-/// the pre-kernel, per-event-reconstruction behaviour, kept as the
-/// golden-equivalence reference and the bench baseline.
-enum class KernelMode : std::uint8_t { Incremental, Rebuild };
-
 class ReservationLedger {
  public:
-  explicit ReservationLedger(KernelMode mode = KernelMode::Incremental)
-      : mode_(mode) {}
-
-  [[nodiscard]] KernelMode mode() const { return mode_; }
-
   /// Bind to a simulator: resets all state, sizes the profile to the
   /// machine, and registers the state-change observer that keeps the
-  /// running layer current between refreshes (both modes — a policy that
-  /// starts jobs mid-decision needs the profile to follow). Call from
+  /// running layer current between refreshes (a policy that starts jobs
+  /// mid-decision needs the profile to follow). Call from
   /// onSimulationStart. A ledger serves one simulator at a time and must
   /// outlive it.
   void attach(sim::Simulator& simulator);
 
-  /// Bring the profile up to date with the simulation clock. Incremental:
-  /// shift the origin to now(). Rebuild: reconstruct running + reservations
-  /// from scratch. Call once at the top of every policy decision point,
+  /// Bring the profile up to date with the simulation clock: shift the
+  /// origin to now(). Call once at the top of every policy decision point,
   /// before any query.
   void refresh(const sim::Simulator& simulator);
 
@@ -101,7 +84,7 @@ class ReservationLedger {
   /// believed ends), and the profile must equal a from-scratch rebuild of
   /// running entries + reservations at the profile's current origin
   /// (AvailabilityProfile::sameFunctionAs). Read-only; callable between
-  /// events in either kernel mode. Throws InvariantError on divergence.
+  /// events. Throws InvariantError on divergence.
   void audit(const sim::Simulator& simulator) const;
 
   /// Total processors held by running jobs whose *estimated* end is <= now
@@ -127,9 +110,6 @@ class ReservationLedger {
 
   void onTransition(const sim::Simulator& simulator, JobId id,
                     sim::JobState from, sim::JobState to);
-  void rebuild(const sim::Simulator& simulator);
-
-  KernelMode mode_;
   std::uint32_t totalProcs_ = 0;
   AvailabilityProfile profile_{0, 0};
   std::unordered_map<JobId, RunningEntry> running_;

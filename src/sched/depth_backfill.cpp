@@ -8,8 +8,7 @@
 
 namespace sps::sched {
 
-DepthBackfill::DepthBackfill(DepthConfig config)
-    : config_(config), ledger_(config.kernelMode) {
+DepthBackfill::DepthBackfill(DepthConfig config) : config_(config) {
   SPS_CHECK_MSG(config_.depth >= 1, "reservation depth must be >= 1");
 }
 
@@ -44,14 +43,10 @@ void DepthBackfill::onSimulationStart(sim::Simulator& simulator) {
 void DepthBackfill::onJobArrival(sim::Simulator& simulator, JobId job) {
   // The new arrival has the highest id, so push_back keeps queue_ sorted.
   queue_.push_back(job);
-  // An arrival never changes the availability function, so incremental
-  // mode can skip re-anchoring existing guarantees entirely.
-  if (config_.kernelMode == kernel::KernelMode::Incremental) {
-    simulator.counters().inc(obs::Counter::ArrivalFastPaths);
-    incrementalPass(simulator);
-  } else {
-    rebuild(simulator);
-  }
+  // An arrival never changes the availability function, so existing
+  // guarantees need no re-anchoring.
+  simulator.counters().inc(obs::Counter::ArrivalFastPaths);
+  incrementalPass(simulator);
 }
 
 void DepthBackfill::onJobCompletion(sim::Simulator& simulator, JobId job) {
@@ -59,8 +54,7 @@ void DepthBackfill::onJobCompletion(sim::Simulator& simulator, JobId job) {
   // leaves the function unchanged, making every pass-1 re-anchor the
   // identity (see conservative.cpp for the argument). Early completions
   // free capacity and take the full rebuild.
-  if (config_.kernelMode == kernel::KernelMode::Incremental &&
-      kernel::completionPreservesProfile(simulator, job)) {
+  if (kernel::completionPreservesProfile(simulator, job)) {
     simulator.counters().inc(obs::Counter::CompletionFastPaths);
     incrementalPass(simulator);
   } else {

@@ -7,14 +7,21 @@
 // (anchored exactly as in conservative backfilling); every other queued job
 // may start only if doing so delays none of those K reservations. K = 1 is
 // EASY's guarantee structure on a FCFS queue; K = infinity is conservative
-// backfilling. Intermediate K trades the responsiveness of aggressive
+// backfilling up to the order in which equal guarantees are re-anchored
+// after an early completion: rebuild() re-anchors ties in id order, while
+// ConservativeBackfill::compress keeps the order its reservations already
+// had. The two agree on calibrated traces but can part on adversarial
+// ones. Intermediate K trades the responsiveness of aggressive
 // backfilling against the predictability of conservative — a useful
 // non-preemptive axis to set next to SS, which abandons guarantees
 // entirely.
 //
 // Anchoring runs over the shared sched/core kernel (ReservationLedger +
 // BackfillEngine); this file keeps the depth cutoff and the two-pass
-// ordering.
+// ordering. Arrivals and on-time completions take incrementalPass();
+// early completions re-anchor through rebuild(). The rebuild-on-every-
+// event shape over a from-scratch profile is kept as the differential
+// reference in sps::check (ReferenceDepthBackfill).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +37,6 @@ namespace sps::sched {
 struct DepthConfig {
   /// Number of queued jobs holding reservations. >= 1.
   std::size_t depth = 2;
-  kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
 inline constexpr std::size_t kUnlimitedDepth =
@@ -65,7 +71,7 @@ class DepthBackfill final : public sim::SchedulingPolicy {
   /// against the resulting profile. Starts everything whose anchor is now.
   void rebuild(sim::Simulator& simulator);
 
-  /// Incremental-mode equivalent of rebuild() for events that leave the
+  /// Equivalent of rebuild() for events that leave the
   /// availability function unchanged (every arrival; on-time completions):
   /// existing guarantees are fixed points of pass 1, so they stay in the
   /// ledger untouched. Only due guarantees (start == now), promotions into

@@ -22,8 +22,8 @@
 // exactly when the job runs past the shadow. Free processors and `extra`
 // only shrink, so no candidate the scan already declined can become
 // startable, and the scan goes on from the next candidate instead of
-// restarting. The algorithm is the same in both kernel modes; KernelMode
-// only selects how the ledger maintains the profile.
+// restarting. check::RestartScanEasy keeps the restart-after-every-start
+// scan over a from-scratch profile as the differential reference.
 #pragma once
 
 #include <vector>
@@ -48,14 +48,12 @@ enum class QueueOrder {
 
 struct EasyConfig {
   QueueOrder order = QueueOrder::Fcfs;
-  kernel::KernelMode kernelMode = kernel::KernelMode::Incremental;
 };
 
 class EasyBackfill final : public sim::SchedulingPolicy {
  public:
   EasyBackfill() = default;
-  explicit EasyBackfill(EasyConfig config)
-      : config_(config), ledger_(config.kernelMode) {}
+  explicit EasyBackfill(EasyConfig config) : config_(config) {}
 
   [[nodiscard]] std::string name() const override {
     return config_.order == QueueOrder::Fcfs ? "EASY (NS)" : "SJF-BF";

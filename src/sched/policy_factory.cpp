@@ -46,7 +46,7 @@ std::unique_ptr<sim::SchedulingPolicy> makePolicy(const PolicySpec& spec) {
     case PolicyKind::Fcfs:
       return std::make_unique<FcfsScheduler>();
     case PolicyKind::Conservative:
-      return std::make_unique<ConservativeBackfill>(spec.conservative);
+      return std::make_unique<ConservativeBackfill>();
     case PolicyKind::Easy:
       return std::make_unique<EasyBackfill>(spec.easy);
     case PolicyKind::SelectiveSuspension:
@@ -111,13 +111,6 @@ std::vector<std::string> knownPolicyTokens() {
   return {"fcfs",    "conservative", "easy", "sjf",
           "depth:2", "depth:inf",    "ss:2", "ss:1.5",
           "tss:2",   "tss-online:2", "is",   "gang"};
-}
-
-PolicySpec withKernelMode(PolicySpec spec, kernel::KernelMode mode) {
-  spec.conservative.kernelMode = mode;
-  spec.easy.kernelMode = mode;
-  spec.depth.kernelMode = mode;
-  return spec;
 }
 
 }  // namespace sps::sched

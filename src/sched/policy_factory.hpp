@@ -13,9 +13,9 @@
 //   * specFromToken("ss:2") — the shared textual form ("fcfs", "easy",
 //     "sjf", "depth:4", "depth:inf", "ss:1.5", "tss:2", "tss-online:2",
 //     "is", "gang", "conservative") used by CLIs and the fuzzer alike.
-//   * withKernelMode(spec, mode) — flip every per-policy kernel-mode knob
-//     (how conservative, EASY and depth-K maintain their ledger) at once;
-//     check::referencePolicy builds its ledger-rebuild lanes with it.
+//
+// Every spec names one production algorithm; the differential reference
+// of a policy is built by check::referencePolicy, not selected here.
 //
 // core::PolicySpec et al. remain as aliases of these types, so existing
 // callers (and the stable core:: facade) are unaffected.
@@ -54,7 +54,6 @@ struct PolicySpec {
   EasyConfig easy{};    ///< used when kind == Easy
   GangConfig gang{};    ///< used when kind == Gang
   DepthConfig depth{};  ///< used when kind == DepthBackfill
-  ConservativeConfig conservative{};  ///< when kind == Conservative
   /// Optional display label override (defaults to the policy's own name()).
   std::string label;
 };
@@ -76,10 +75,5 @@ struct PolicySpec {
 /// One representative token per registry entry (parameterized names carry
 /// example parameters) — the fuzzer's policy lane list.
 [[nodiscard]] std::vector<std::string> knownPolicyTokens();
-
-/// Copy of `spec` with every per-policy kernel-mode knob (conservative,
-/// EASY, depth-K) set to `mode`.
-[[nodiscard]] PolicySpec withKernelMode(PolicySpec spec,
-                                        kernel::KernelMode mode);
 
 }  // namespace sps::sched

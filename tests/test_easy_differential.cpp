@@ -1,12 +1,12 @@
 // Differential suite for EASY's one-pass backfill scan. sched::EasyBackfill
 // computes the head's shadow once per pass and keeps it current across
-// starts; the reference (check/reference/easy_reference.hpp) recomputes it
-// and rescans the queue after every start. On seeded CTC and SDSC traces,
-// in both queue orders, under exact and Modal estimates, both kernel modes,
-// and with mid-run cancellations, the two must produce bit-identical
-// schedules and identical backfill-start, full-pass and arrival-fast-path
-// counts. The
-// unit cases at the bottom pin the edges the one-pass argument leans on.
+// starts; the reference (check/reference/easy_reference.hpp) rebuilds its
+// profile, recomputes the shadow and rescans the queue after every start.
+// On seeded CTC and SDSC traces, in both queue orders, under exact and
+// Modal estimates, and with mid-run cancellations, the two must produce
+// bit-identical schedules and identical backfill-start, full-pass and
+// arrival-fast-path counts. The unit cases at the bottom pin the edges the
+// one-pass argument leans on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +28,6 @@ namespace {
 
 using obs::Counter;
 using sched::QueueOrder;
-using sched::kernel::KernelMode;
 
 struct Outcome {
   std::vector<std::tuple<Time, JobId, int, int>> transitions;
@@ -85,15 +84,14 @@ Outcome runPolicy(const workload::Trace& trace, Policy& policy,
 }
 
 Outcome runOnePass(const workload::Trace& trace, QueueOrder order,
-               KernelMode mode, Time cancelStride = 0) {
-  sched::EasyBackfill policy({order, mode});
+                   Time cancelStride = 0) {
+  sched::EasyBackfill policy({order});
   return runPolicy(trace, policy, cancelStride);
 }
 
 Outcome runReference(const workload::Trace& trace, QueueOrder order,
-                 KernelMode mode, Time cancelStride = 0,
-                 bool arrivalFastPath = true) {
-  check::RestartScanEasy policy(order, mode, arrivalFastPath);
+                     Time cancelStride = 0, bool arrivalFastPath = true) {
+  check::RestartScanEasy policy(order, arrivalFastPath);
   return runPolicy(trace, policy, cancelStride);
 }
 
@@ -153,23 +151,18 @@ TEST_P(EasyOnePassDifferential, MatchesRestartScan) {
       const workload::Trace trace = seededTrace(kind, seed, load, modal);
       for (const QueueOrder order : {QueueOrder::Fcfs,
                                      QueueOrder::ShortestFirst}) {
-        for (const KernelMode mode :
-             {KernelMode::Incremental, KernelMode::Rebuild}) {
-          std::ostringstream context;
-          context << kind << " seed " << seed << " load " << load
-                  << (modal ? " modal" : " exact")
-                  << (order == QueueOrder::Fcfs ? " fcfs" : " sjf")
-                  << (mode == KernelMode::Incremental ? " incremental"
-                                                      : " rebuild");
-          const Outcome onePass = runOnePass(trace, order, mode);
-          expectMatchesReference(
-              onePass, runReference(trace, order, mode), context.str());
-          // Every arrival through a full pass: checks the fast path too.
-          expectSameSchedule(
-              onePass,
-              runReference(trace, order, mode, 0, /*arrivalFastPath=*/false),
-              context.str() + " (no arrival fast path)");
-        }
+        std::ostringstream context;
+        context << kind << " seed " << seed << " load " << load
+                << (modal ? " modal" : " exact")
+                << (order == QueueOrder::Fcfs ? " fcfs" : " sjf");
+        const Outcome onePass = runOnePass(trace, order);
+        expectMatchesReference(onePass, runReference(trace, order),
+                               context.str());
+        // Every arrival through a full pass: checks the fast path too.
+        expectSameSchedule(
+            onePass,
+            runReference(trace, order, 0, /*arrivalFastPath=*/false),
+            context.str() + " (no arrival fast path)");
       }
     }
   }
@@ -182,11 +175,9 @@ TEST_P(EasyOnePassDifferential, MatchesRestartScanUnderCancels) {
     const std::string context =
         kind + " seed " + std::to_string(seed) +
         (order == QueueOrder::Fcfs ? " fcfs" : " sjf") + " with cancels";
-    const Outcome onePass = runOnePass(trace, order, KernelMode::Incremental, 600);
+    const Outcome onePass = runOnePass(trace, order, 600);
     EXPECT_GT(onePass.cancelled, 0u) << context;
-    expectMatchesReference(
-        onePass, runReference(trace, order, KernelMode::Incremental, 600),
-        context);
+    expectMatchesReference(onePass, runReference(trace, order, 600), context);
   }
 }
 
@@ -206,12 +197,11 @@ INSTANTIATE_TEST_SUITE_P(
 using test::J;
 using test::makeTrace;
 
-/// Both kernel modes of the one-pass scan against the reference.
-void expectBothModesMatch(const workload::Trace& trace, QueueOrder order,
-                          const std::string& context) {
-  for (const KernelMode mode : {KernelMode::Incremental, KernelMode::Rebuild})
-    expectMatchesReference(runOnePass(trace, order, mode),
-                           runReference(trace, order, mode), context);
+/// The one-pass scan against the reference.
+void expectMatchesRestartScan(const workload::Trace& trace, QueueOrder order,
+                              const std::string& context) {
+  expectMatchesReference(runOnePass(trace, order), runReference(trace, order),
+                         context);
 }
 
 TEST(EasyOnePass, FirstBackfillPastShadowShrinksExtra) {
@@ -223,12 +213,12 @@ TEST(EasyOnePass, FirstBackfillPastShadowShrinksExtra) {
   // against the same shadow.
   const auto trace = makeTrace(
       10, {{0, 50, 4}, {0, 100, 6}, {1, 100, 8}, {2, 500, 2}, {3, 500, 2}});
-  const Outcome run = runOnePass(trace, QueueOrder::Fcfs, KernelMode::Incremental);
+  const Outcome run = runOnePass(trace, QueueOrder::Fcfs);
   EXPECT_EQ(run.firstStart[3], 50);   // C: backfilled on the extra procs
   EXPECT_EQ(run.firstStart[2], 100);  // H: not delayed
   EXPECT_EQ(run.firstStart[4], 200);  // D: declined at 50, starts after H
   EXPECT_EQ(run.backfillStarts, 1u);
-  expectBothModesMatch(trace, QueueOrder::Fcfs, "extra shrinks");
+  expectMatchesRestartScan(trace, QueueOrder::Fcfs, "extra shrinks");
 }
 
 TEST(EasyOnePass, ZombieInCurrentBatch) {
@@ -239,12 +229,12 @@ TEST(EasyOnePass, ZombieInCurrentBatch) {
   // 11 with extra 0: C ends by it and starts; D runs past it and waits.
   const auto trace =
       makeTrace(8, {{0, 10, 4}, {1, 100, 8}, {10, 1, 2}, {10, 50, 2}});
-  const Outcome run = runOnePass(trace, QueueOrder::Fcfs, KernelMode::Incremental);
+  const Outcome run = runOnePass(trace, QueueOrder::Fcfs);
   EXPECT_EQ(run.firstStart[2], 10);   // C: ends by the shadow
   EXPECT_EQ(run.firstStart[1], 11);   // H: starts once C is gone
   EXPECT_EQ(run.firstStart[3], 111);  // D: behind H
   EXPECT_EQ(run.arrivalFastPaths, 0u);
-  expectBothModesMatch(trace, QueueOrder::Fcfs, "zombie");
+  expectMatchesRestartScan(trace, QueueOrder::Fcfs, "zombie");
 }
 
 TEST(EasyOnePass, CancelledPivotReleasesTheShadow) {
@@ -253,17 +243,15 @@ TEST(EasyOnePass, CancelledPivotReleasesTheShadow) {
   // the head, and the cancel's pass starts it at once (at t=2: the clock
   // stays at the last dispatched event).
   const auto trace = makeTrace(4, {{0, 100, 2}, {1, 100, 4}, {2, 300, 2}});
-  for (const KernelMode mode : {KernelMode::Incremental, KernelMode::Rebuild}) {
-    sched::EasyBackfill policy({QueueOrder::Fcfs, mode});
-    sim::Simulator s(trace, policy);
-    s.runUntil(5);
-    EXPECT_EQ(s.state(2), sim::JobState::Queued);
-    EXPECT_TRUE(s.cancelJob(1));
-    EXPECT_EQ(s.state(2), sim::JobState::Running);
-    s.run();
-    EXPECT_EQ(s.exec(2).firstStart, 2);
-    EXPECT_EQ(s.exec(1).firstStart, kNoTime);
-  }
+  sched::EasyBackfill policy({QueueOrder::Fcfs});
+  sim::Simulator s(trace, policy);
+  s.runUntil(5);
+  EXPECT_EQ(s.state(2), sim::JobState::Queued);
+  EXPECT_TRUE(s.cancelJob(1));
+  EXPECT_EQ(s.state(2), sim::JobState::Running);
+  s.run();
+  EXPECT_EQ(s.exec(2).firstStart, 2);
+  EXPECT_EQ(s.exec(1).firstStart, kNoTime);
 }
 
 TEST(EasyOnePass, PassStartingWithNoFreeProcessors) {
@@ -273,8 +261,7 @@ TEST(EasyOnePass, PassStartingWithNoFreeProcessors) {
   // every candidate behind the head.
   const auto trace =
       makeTrace(4, {{0, 100, 4}, {1, 500, 1}, {2, 400, 1}, {3, 300, 1}});
-  sched::EasyBackfill policy({QueueOrder::ShortestFirst,
-                              KernelMode::Incremental});
+  sched::EasyBackfill policy({QueueOrder::ShortestFirst});
   sim::Simulator s(trace, policy);
   s.runUntil(3);
   const auto& counters = s.counters();
@@ -284,7 +271,7 @@ TEST(EasyOnePass, PassStartingWithNoFreeProcessors) {
   EXPECT_EQ(counters.value(Counter::BackfillRejects), 0u + 1u + 2u);
   s.run();
   EXPECT_EQ(s.exec(3).firstStart, 100);
-  expectBothModesMatch(trace, QueueOrder::ShortestFirst, "free = 0");
+  expectMatchesRestartScan(trace, QueueOrder::ShortestFirst, "free = 0");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Federation battery (`ctest -L fed`): epoch-barrier contract, router
 // units, the partition-equivalence theorem (federation with a recorded
 // router == matching single-cluster batch runs, bit for bit) across every
-// policy token x both kernel modes x {1,2,4} shards, and worker-pool-size
+// policy token x {1,2,4} shards, and worker-pool-size
 // determinism. This is the lane to re-run under both sanitizer flavours
 // (-DSPS_SANITIZE=thread for the epoch barrier hand-off, =address for the
 // per-shard trace growth).
@@ -230,10 +230,10 @@ TEST(FleetAudit, CatchesATamperedRecord) {
 
 // The theorem, policy by policy: a federation with a recorded router
 // equals the matching single-cluster batch runs on the per-shard traces,
-// bit for bit — schedules, counters, suspension categories — under BOTH
-// kernel modes. diffFederated also re-runs the fleet through the
-// ReplayRouter, so one green outcome pins
-// the router record, the epoch sync, and the shard independence at once.
+// bit for bit — schedules, counters, suspension categories.
+// diffFederated also re-runs the fleet through the ReplayRouter, so one
+// green outcome pins the router record, the epoch sync, and the shard
+// independence at once.
 void expectPartitionEquivalence(std::uint32_t shards) {
   for (const std::string& token : sched::knownPolicyTokens()) {
     check::FuzzCase c = check::makeFuzzCase(7, token);

@@ -1,9 +1,10 @@
 // Corpus replay (`ctest -L fuzz`): every .repro under tests/corpus/ runs
-// through the differential harness — both kernel modes, invariant oracle at
-// stride 1 — and must come back clean. The fence-alloc-* files are shrunk
-// fuzzer finds (regression tests for fixed bugs); the stress-* files are
-// adversarial workloads dumped with `sps_fuzz --dump` to keep every policy
-// family exercised here even when the fuzzer has nothing new to say.
+// through the differential harness — production against reference,
+// invariant oracle at stride 1 — and must come back clean. The
+// fence-alloc-* files are shrunk fuzzer finds (regression tests for fixed
+// bugs); the stress-* files are adversarial workloads dumped with
+// `sps_fuzz --dump` to keep every policy family exercised here even when
+// the fuzzer has nothing new to say.
 // Repros carrying federated directives (shards/router/delay) route through
 // fed::diffFederated instead: the case runs as a federation and must equal
 // its per-shard single-cluster replays bit for bit.

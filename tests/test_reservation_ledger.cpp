@@ -2,7 +2,7 @@
 // maintenance — AvailabilityProfile::removeBusy/shiftOrigin and the
 // ReservationLedger built on them. The randomized suites cross-check every
 // incremental path against a profile rebuilt naively from the live interval
-// set, which is exactly the Rebuild-mode contract.
+// set, the from-scratch shape the sps::check reference policies anchor on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@ namespace sps::sched {
 namespace {
 
 using kernel::BackfillEngine;
-using kernel::KernelMode;
 using kernel::ReservationLedger;
 using test::J;
 using test::makeTrace;
@@ -41,7 +40,7 @@ std::uint32_t naiveFreeAt(const std::vector<Interval>& live, Time t,
   return total - busy;
 }
 
-/// Ground truth profile rebuilt from scratch (the Rebuild-mode semantics).
+/// Ground truth profile rebuilt from scratch.
 AvailabilityProfile naiveProfile(const std::vector<Interval>& live,
                                  Time origin, std::uint32_t total) {
   AvailabilityProfile p(origin, total);
@@ -171,28 +170,38 @@ TEST(ProfileProperty, IncrementalChurnMatchesNaiveRebuild) {
   }
 }
 
-// Ledger-level crosscheck: one Incremental and one Rebuild ledger observe
-// the same simulation; after every refresh both profiles must agree at all
-// probe points, and the zombie accounting must match the machine's view.
+// Ledger-level crosscheck: the maintained ledger observes a simulation;
+// after every refresh its profile must agree at all probe points with one
+// rebuilt from scratch out of the simulator's running set, its zombie count
+// must match the machine's view, and audit() must pass.
 TEST(ReservationLedgerTest, IncrementalAgreesWithRebuildOverARun) {
   const auto trace = makeTrace(
       8, {{0, 10, 4}, {0, 20, 4}, {1, 5, 2, 8}, {3, 30, 6, 35},
           {12, 4, 8, 6}, {18, 7, 3, 9}, {25, 9, 5, 12}});
   test::ScriptedPolicy policy;
   sim::Simulator simulator(trace, policy);
-  ReservationLedger inc(KernelMode::Incremental);
-  ReservationLedger reb(KernelMode::Rebuild);
-  inc.attach(simulator);
-  reb.attach(simulator);
+  ReservationLedger ledger;
+  ledger.attach(simulator);
 
+  std::size_t checks = 0;
   auto crosscheck = [&](sim::Simulator& s) {
-    inc.refresh(s);
-    reb.refresh(s);
+    ledger.refresh(s);
+    std::vector<Interval> live;
+    std::uint32_t zombies = 0;
+    for (const JobId id : s.runningJobs()) {
+      const Time end = s.exec(id).segStart + s.job(id).estimate;
+      live.push_back({s.exec(id).segStart, end, s.job(id).procs});
+      if (end <= s.now()) zombies += s.job(id).procs;
+    }
+    const AvailabilityProfile rebuilt =
+        naiveProfile(live, s.now(), trace.machineProcs);
     for (Time dt = 0; dt <= 60; ++dt)
-      ASSERT_EQ(inc.profile().freeAt(s.now() + dt),
-                reb.profile().freeAt(s.now() + dt))
+      ASSERT_EQ(ledger.profile().freeAt(s.now() + dt),
+                rebuilt.freeAt(s.now() + dt))
           << "t=" << s.now() << " dt=" << dt;
-    ASSERT_EQ(inc.zombieProcsAt(s.now()), reb.zombieProcsAt(s.now()));
+    ASSERT_EQ(ledger.zombieProcsAt(s.now()), zombies) << "t=" << s.now();
+    ledger.audit(s);
+    ++checks;
   };
   policy.arrival = [&](sim::Simulator& s, JobId) {
     crosscheck(s);
@@ -201,6 +210,7 @@ TEST(ReservationLedgerTest, IncrementalAgreesWithRebuildOverARun) {
   };
   policy.completion = policy.arrival;
   simulator.run();
+  EXPECT_EQ(checks, 4 * trace.jobs.size());
 }
 
 TEST(ReservationLedgerTest, ZombieProcsCountPendingCompletions) {
@@ -209,7 +219,7 @@ TEST(ReservationLedgerTest, ZombieProcsCountPendingCompletions) {
   const auto trace = makeTrace(4, {{0, 10, 2}, {0, 10, 2}});
   test::ScriptedPolicy policy;
   sim::Simulator simulator(trace, policy);
-  ReservationLedger ledger(KernelMode::Incremental);
+  ReservationLedger ledger;
   ledger.attach(simulator);
   std::vector<std::uint32_t> zombiesSeen;
   policy.completion = [&](sim::Simulator& s, JobId) {
@@ -227,7 +237,7 @@ TEST(ReservationLedgerTest, ReservationsLayerOnRunningJobs) {
   const auto trace = makeTrace(8, {{0, 20, 6}, {0, 5, 2}, {0, 5, 2}});
   test::ScriptedPolicy policy;
   sim::Simulator simulator(trace, policy);
-  ReservationLedger ledger(KernelMode::Incremental);
+  ReservationLedger ledger;
   BackfillEngine engine(ledger);
   ledger.attach(simulator);
   bool checked = false;

@@ -4,7 +4,8 @@
 //  * step()/runUntil()/drain() paused-state semantics;
 //  * submit()/cancelJob() ingest verbs (ordering, rejection, lifecycle);
 //  * batch vs streamed golden equivalence for every policy token under
-//    both kernel modes — schedules AND rendered metrics, bit for bit;
+//    both lanes (production and reference) — schedules AND rendered
+//    metrics, bit for bit;
 //  * SchedulerService protocol parsing, replies, and the threaded serve()
 //    driver (the lane to re-run under -DSPS_SANITIZE=thread).
 #include <gtest/gtest.h>
@@ -227,8 +228,9 @@ TEST(Ingest, CancelSuspendedJobUnderSelectiveSuspension) {
 // --- golden equivalence: batch vs streamed ---------------------------------
 
 /// Streamed replay must be bit-identical to batch for every policy token
-/// under both kernel modes. DiffHarness::diffStreamed carries the whole
-/// contract: transitions, per-job exec records, and the armed oracle.
+/// in both lanes (production and reference). DiffHarness::diffStreamed
+/// carries the whole contract: transitions, per-job exec records, and the
+/// armed oracle.
 TEST(StreamedEquivalence, AllPolicyTokensBothKernelModes) {
   const check::DiffHarness harness{check::CheckConfig::all(4)};
   for (const bool overhead : {false, true}) {

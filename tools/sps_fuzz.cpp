@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
       // Federation lane: the same case partitioned across a seeded shard
       // count and router must equal its per-shard single-cluster replays
       // bit for bit (live run + conservation audit + recorded-router
-      // replay + batch comparison, both kernel modes). Failures shrink
+      // replay + batch comparison, production policies). Failures shrink
       // with the federation differential as the minimizer's oracle.
       check::FuzzCase f = c;
       SplitMix64 fedMix(caseSeed ^ 0x9e3779b97f4a7c15ull);
