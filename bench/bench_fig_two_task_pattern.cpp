@@ -36,8 +36,9 @@ TwoTaskResult runTwoTasks(double sf, sps::Time length) {
   }
   sim::Simulator s(trace, policy);
   s.run();
-  return {s.totalSuspensions(), std::min(s.exec(0).finish, s.exec(1).finish),
-          std::max(s.exec(0).finish, s.exec(1).finish)};
+  return {s.totalSuspensions(),
+          std::min(s.outcome(0).finish, s.outcome(1).finish),
+          std::max(s.outcome(0).finish, s.outcome(1).finish)};
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // simulation throughput), plus the scheduling-kernel sweep: every
 // backfilling and preemptive policy on a high-load SDSC trace, once as the
 // production class ("incremental") and once as its check::referencePolicy
-// ("rebuild": the per-event-reconstruction shape), with events/sec and
-// wall time written to BENCH_engine.json. The per-policy speedup column is
-// the before/after number for the incremental kernel. A scaling
-// lane replays easy and fcfs at 50k / 200k / 800k jobs and records the cost
-// per event at each size; tools/perf_guard.py fails a report whose largest
-// size costs more than 1.2x its smallest per event. A "host" block (CPU
+// ("reference": the per-event-reconstruction oracle), with events/sec and
+// wall time written to BENCH_engine.json. Every timed lane records the
+// fastest, median and slowest of its repeats ("repeatWallSeconds"); events/s
+// is taken from the fastest. The per-policy speedup column is production
+// against its reference. A scaling lane replays easy and fcfs at 50k /
+// 200k / 800k jobs and records the cost per event at each size, for the
+// event loop alone and for the whole run (harness construction, run() and
+// finish()); tools/perf_guard.py fails a report whose largest size costs
+// more than 1.2x its smallest per event on either. A "host" block (CPU
 // model, nproc, compiler, build type) records where the numbers were taken;
 // perf_guard.py prints both reports' hosts beside any lane it flags.
 //
@@ -24,6 +27,10 @@
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "check/check_config.hpp"
 #include "check/reference/reference_policy.hpp"
@@ -60,31 +67,74 @@ BENCHMARK(BM_Simulation<core::PolicyKind::ImmediateService>)->Arg(2000);
 
 // --- scheduling-kernel sweep -----------------------------------------------
 
+/// Wall seconds of every repeat of one lane.
+class Repeats {
+ public:
+  void add(double wall) { walls_.push_back(wall); }
+  [[nodiscard]] double min() const {
+    return *std::min_element(walls_.begin(), walls_.end());
+  }
+  [[nodiscard]] double max() const {
+    return *std::max_element(walls_.begin(), walls_.end());
+  }
+  /// Middle repeat (mean of the middle two for an even count).
+  [[nodiscard]] double median() const {
+    std::vector<double> sorted(walls_);
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2]
+                      : (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0;
+  }
+  /// "repeatWallSeconds": {"min", "median", "max", "count"}.
+  void write(metrics::JsonWriter& w) const {
+    w.key("repeatWallSeconds").beginObject();
+    w.field("min", min());
+    w.field("median", median());
+    w.field("max", max());
+    w.field("count", static_cast<std::uint64_t>(walls_.size()));
+    w.endObject();
+  }
+
+ private:
+  std::vector<double> walls_;
+};
+
 struct Lane {
-  double wallSeconds = 0.0;
-  double eventsPerSec = 0.0;
+  double wallSeconds = 0.0;  ///< fastest repeat
+  double eventsPerSec = 0.0;  ///< at the fastest repeat
   std::uint64_t events = 0;
   obs::Counters counters;  ///< identical across repeats (deterministic)
+  Repeats repeats;
+
+  void record(double wall, std::uint64_t eventCount) {
+    repeats.add(wall);
+    wallSeconds = repeats.min();
+    events = eventCount;
+    eventsPerSec = static_cast<double>(events) / wallSeconds;
+  }
+  /// wallSeconds, eventsPerSec, events and the repeat spread.
+  void writeTiming(metrics::JsonWriter& w) const {
+    w.field("wallSeconds", wallSeconds);
+    w.field("eventsPerSec", eventsPerSec);
+    w.field("events", events);
+    repeats.write(w);
+  }
 };
 
 Lane timeLane(const workload::Trace& trace, const core::PolicySpec& spec,
               int repeats, const core::SimulationOptions& options = {},
               check::Lane lane = check::Lane::Production) {
-  Lane best;
+  Lane timed;
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     const metrics::RunStats stats =
         core::runSimulation(trace, check::lanePolicy(spec, lane), options);
     const auto t1 = std::chrono::steady_clock::now();
-    const double wall = std::chrono::duration<double>(t1 - t0).count();
-    if (r == 0 || wall < best.wallSeconds) {
-      best.wallSeconds = wall;
-      best.events = stats.eventsProcessed;
-      best.eventsPerSec = static_cast<double>(stats.eventsProcessed) / wall;
-      best.counters = stats.counters;
-    }
+    timed.record(std::chrono::duration<double>(t1 - t0).count(),
+                 stats.eventsProcessed);
+    timed.counters = stats.counters;
   }
-  return best;
+  return timed;
 }
 
 /// CPU model from /proc/cpuinfo ("unknown" where it is not readable).
@@ -198,40 +248,34 @@ void runKernelSweep() {
   core::SimulationOptions sampled;
   sampled.timeline.enabled = true;
   for (const auto& [label, policySpec] : policies) {
-    const Lane reb =
+    const Lane ref =
         timeLane(trace, policySpec, repeats, {}, check::Lane::Reference);
     const Lane inc = timeLane(trace, policySpec, repeats);
     const Lane chk = timeLane(trace, policySpec, repeats, checked);
     const Lane tl = timeLane(trace, policySpec, repeats, sampled);
-    const double speedup = inc.eventsPerSec / reb.eventsPerSec;
+    const double speedup = inc.eventsPerSec / ref.eventsPerSec;
     const double checkOverhead = inc.eventsPerSec / chk.eventsPerSec;
     const double timelineOverhead = inc.eventsPerSec / tl.eventsPerSec;
     w.beginObject();
     w.field("policy", label);
-    w.key("rebuild").beginObject();
-    w.field("wallSeconds", reb.wallSeconds);
-    w.field("eventsPerSec", reb.eventsPerSec);
-    w.field("events", reb.events);
+    w.key("reference").beginObject();
+    ref.writeTiming(w);
     w.key("counters");
-    metrics::writeCountersJson(w, reb.counters);
+    metrics::writeCountersJson(w, ref.counters);
     w.endObject();
     w.key("incremental").beginObject();
-    w.field("wallSeconds", inc.wallSeconds);
-    w.field("eventsPerSec", inc.eventsPerSec);
-    w.field("events", inc.events);
+    inc.writeTiming(w);
     w.key("counters");
     metrics::writeCountersJson(w, inc.counters);
     w.endObject();
     w.key("checked").beginObject();
-    w.field("wallSeconds", chk.wallSeconds);
-    w.field("eventsPerSec", chk.eventsPerSec);
+    chk.writeTiming(w);
     w.field("auditStride",
             static_cast<std::uint64_t>(checked.check.auditStride));
     w.field("overheadFactor", checkOverhead);
     w.endObject();
     w.key("timeline").beginObject();
-    w.field("wallSeconds", tl.wallSeconds);
-    w.field("eventsPerSec", tl.eventsPerSec);
+    tl.writeTiming(w);
     w.field("samples", tl.counters.value(obs::Counter::TimelineSamples));
     w.field("decimations",
             tl.counters.value(obs::Counter::TimelineDecimations));
@@ -239,7 +283,7 @@ void runKernelSweep() {
     w.endObject();
     w.field("speedup", speedup);
     w.endObject();
-    std::cout << "  " << label << ": rebuild " << reb.eventsPerSec
+    std::cout << "  " << label << ": reference " << ref.eventsPerSec
               << " ev/s, incremental " << inc.eventsPerSec << " ev/s ("
               << speedup << "x), checked " << chk.eventsPerSec << " ev/s ("
               << checkOverhead << "x overhead), timeline " << tl.eventsPerSec
@@ -275,9 +319,7 @@ void runKernelSweep() {
       w.field("machineProcs", static_cast<std::uint64_t>(big.procs));
       w.field("jobs", static_cast<std::uint64_t>(bigTrace.jobs.size()));
       w.key("incremental").beginObject();
-      w.field("wallSeconds", inc.wallSeconds);
-      w.field("eventsPerSec", inc.eventsPerSec);
-      w.field("events", inc.events);
+      inc.writeTiming(w);
       w.endObject();
       w.endObject();
       std::cout << "  " << label << ": incremental " << inc.eventsPerSec
@@ -290,32 +332,58 @@ void runKernelSweep() {
   // dispatched event must stay flat as the trace grows; perf_guard compares
   // the largest size against the smallest within this one report, so host
   // speed cancels out of the ratio. nsPerEvent times the event loop alone
-  // (Simulator::run on a constructed harness): construction and metrics
-  // collection are per-job costs whose per-event share moves with the
-  // allocator (arrays past glibc's mmap threshold are first-touched on
-  // every run), not with the event set.
+  // (Simulator::run on a constructed harness); wholeRunNsPerEvent times the
+  // whole run — harness construction, run() and finish() (metrics
+  // collection) — and is held to the same limit, so a per-job cost outside
+  // the loop that grows faster than the trace shows as well.
+  // The sizes are interleaved — each repeat round runs every size once —
+  // so a stretch of host contention slows all sizes alike instead of
+  // skewing the ratio; each size keeps its fastest of kScalingRepeats.
+  // Every repeat starts from a trimmed heap, so each size first-touches the
+  // pages of its own arrays, as a one-shot run in a fresh process does.
+  // Untrimmed, a small size reuses pages the previous repeat left mapped
+  // while a large one (whose frees cross glibc's trim threshold) maps fresh
+  // ones, and the ratio would compare a warm small run with a cold large one.
+  constexpr int kScalingRepeats = 5;
   for (const char* policyLabel : {"easy", "fcfs"}) {
     core::PolicySpec scaleSpec;
     scaleSpec.kind = policyLabel[0] == 'e' ? core::PolicyKind::Easy
                                            : core::PolicyKind::Fcfs;
+    struct Size {
+      workload::Trace trace;
+      Lane loop;   // Simulator::run only
+      Lane whole;  // construction + run() + finish()
+    };
+    std::vector<Size> sizes;
     for (const std::size_t base : {50'000u, 200'000u, 800'000u}) {
-      const std::size_t scaleJobs = std::max<std::size_t>(
-          1, base * jobs / 8000);
-      auto scaleConfig = workload::sdscConfig(scaleJobs, 42);
+      auto scaleConfig = workload::sdscConfig(
+          std::max<std::size_t>(1, base * jobs / 8000), 42);
       scaleConfig.offeredLoad = 0.95;
-      const auto scaleTrace = workload::generateTrace(scaleConfig);
-      double loop = 0.0;  // fastest of the repeats
-      std::uint64_t events = 0;
-      for (int r = 0; r < repeats; ++r) {
-        core::SimulationHarness harness(scaleTrace, scaleSpec, {});
+      sizes.push_back({workload::generateTrace(scaleConfig), {}, {}});
+    }
+    for (int r = 0; r < kScalingRepeats; ++r) {
+      for (Size& size : sizes) {
+#if defined(__GLIBC__)
+        malloc_trim(0);
+#endif
         const auto t0 = std::chrono::steady_clock::now();
-        harness.simulator().run();
+        core::SimulationHarness harness(size.trace, scaleSpec, {});
         const auto t1 = std::chrono::steady_clock::now();
-        const double wall = std::chrono::duration<double>(t1 - t0).count();
-        if (r == 0 || wall < loop) loop = wall;
-        events = harness.finish().eventsProcessed;
+        harness.simulator().run();
+        const auto t2 = std::chrono::steady_clock::now();
+        const std::uint64_t events = harness.finish().eventsProcessed;
+        const auto t3 = std::chrono::steady_clock::now();
+        size.loop.record(std::chrono::duration<double>(t2 - t1).count(),
+                         events);
+        size.whole.record(std::chrono::duration<double>(t3 - t0).count(),
+                          events);
       }
-      const double nsPerEvent = loop * 1e9 / static_cast<double>(events);
+    }
+    for (const Size& size : sizes) {
+      const std::size_t scaleJobs = size.trace.jobs.size();
+      const auto events = static_cast<double>(size.loop.events);
+      const double nsPerEvent = size.loop.wallSeconds * 1e9 / events;
+      const double wholeRunNsPerEvent = size.whole.wallSeconds * 1e9 / events;
       const std::string label = std::string(policyLabel) + "@" +
                                 std::to_string(scaleJobs / 1000) + "k";
       w.beginObject();
@@ -324,14 +392,18 @@ void runKernelSweep() {
       w.field("scalingPolicy", policyLabel);
       w.field("jobs", static_cast<std::uint64_t>(scaleJobs));
       w.key("incremental").beginObject();
-      w.field("wallSeconds", loop);
-      w.field("eventsPerSec", static_cast<double>(events) / loop);
-      w.field("events", events);
+      size.loop.writeTiming(w);
+      w.endObject();
+      w.key("wholeRun").beginObject();
+      size.whole.writeTiming(w);
       w.endObject();
       w.field("nsPerEvent", nsPerEvent);
+      w.field("wholeRunNsPerEvent", wholeRunNsPerEvent);
       w.endObject();
       std::cout << "  " << label << ": " << nsPerEvent
-                << " ns/event in the loop (" << events << " events)\n";
+                << " ns/event in the loop, " << wholeRunNsPerEvent
+                << " ns/event whole run (" << size.loop.events
+                << " events)\n";
     }
   }
   // Service-ingest lane: the same sweep trace pushed through the
@@ -367,23 +439,17 @@ void runKernelSweep() {
         pos = eol + 1;
       }
       const metrics::RunStats stats = service.finish();
-      const double wall =
+      lane.record(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (r == 0 || wall < lane.wallSeconds) {
-        lane.wallSeconds = wall;
-        lane.events = stats.eventsProcessed;
-        lane.eventsPerSec = static_cast<double>(stats.eventsProcessed) / wall;
-      }
+              .count(),
+          stats.eventsProcessed);
     }
     w.beginObject();
     w.field("policy", "service-ingest");
     w.field("lane", "service");
     w.field("jobs", static_cast<std::uint64_t>(trace.jobs.size()));
     w.key("incremental").beginObject();
-    w.field("wallSeconds", lane.wallSeconds);
-    w.field("eventsPerSec", lane.eventsPerSec);
-    w.field("events", lane.events);
+    lane.writeTiming(w);
     w.endObject();
     w.endObject();
     std::cout << "  service-ingest: " << lane.eventsPerSec << " ev/s ("
@@ -418,12 +484,10 @@ void runKernelSweep() {
       fed::Federation federation(fleetTrace, fleetSpec, router, cfg);
       const auto t0 = std::chrono::steady_clock::now();
       const fed::FleetStats fleet = federation.run();
-      fedLane.wallSeconds =
+      fedLane.record(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      fedLane.events = fleet.eventsProcessed();
-      fedLane.eventsPerSec =
-          static_cast<double>(fedLane.events) / fedLane.wallSeconds;
+              .count(),
+          fleet.eventsProcessed());
       epochs = fleet.epochs;
     }
 
@@ -440,9 +504,7 @@ void runKernelSweep() {
     w.field("shards", static_cast<std::uint64_t>(kClusters));
     w.field("epochs", epochs);
     w.key("incremental").beginObject();
-    w.field("wallSeconds", fedLane.wallSeconds);
-    w.field("eventsPerSec", fedLane.eventsPerSec);
-    w.field("events", fedLane.events);
+    fedLane.writeTiming(w);
     w.endObject();
     w.field("fleetSpeedup", fleetSpeedup);
     w.endObject();
@@ -451,9 +513,7 @@ void runKernelSweep() {
     w.field("lane", "fleet");
     w.field("jobs", static_cast<std::uint64_t>(mono.jobs.size()));
     w.key("incremental").beginObject();
-    w.field("wallSeconds", single.wallSeconds);
-    w.field("eventsPerSec", single.eventsPerSec);
-    w.field("events", single.events);
+    single.writeTiming(w);
     w.endObject();
     w.endObject();
     std::cout << "  fleet@4x128: " << fedLane.eventsPerSec << " ev/s in "

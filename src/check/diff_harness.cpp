@@ -276,9 +276,10 @@ RunRecord runRecorded(const CheckConfig& checks, const FuzzCase& c,
     return record;
   }
   for (JobId id = 0; id < c.trace.jobs.size(); ++id) {
-    record.firstStart.push_back(simulator->exec(id).firstStart);
-    record.finish.push_back(simulator->exec(id).finish);
-    record.suspendCount.push_back(simulator->exec(id).suspendCount);
+    const sim::JobOutcome& o = simulator->outcome(id);
+    record.firstStart.push_back(o.firstStart);
+    record.finish.push_back(o.finish);
+    record.suspendCount.push_back(o.suspendCount);
   }
   return record;
 }

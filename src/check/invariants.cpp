@@ -310,15 +310,15 @@ void InvariantChecker::finalize(const sim::Simulator& simulator) {
     // totals against the always-on obs counters (the "suspension counters
     // from sps::obs balance" half of the conservation property).
     for (JobId id = 0; id < jobs; ++id) {
-      const sim::JobExec& x = simulator.exec(id);
+      const sim::JobOutcome& x = simulator.outcome(id);
       const TransitionAudit::Tally& t = transitions_.tally(id);
       SPS_CHECK_MSG(simulator.state(id) == JobState::Finished ||
                         simulator.state(id) == JobState::Cancelled,
-                    "conservation: exec state of job "
+                    "conservation: state of job "
                         << id << " is " << sim::jobStateName(simulator.state(id))
                         << " after the run");
       SPS_CHECK_MSG(x.suspendCount == t.suspensions,
-                    "conservation: job " << id << " exec.suspendCount "
+                    "conservation: job " << id << " outcome.suspendCount "
                                          << x.suspendCount << " != observed "
                                          << t.suspensions);
     }

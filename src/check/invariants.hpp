@@ -148,7 +148,7 @@ class InvariantChecker {
   void arm(sim::Simulator& simulator, const sim::SchedulingPolicy& policy);
 
   /// End-of-run half of the conservation checks: per-job lifecycle balance
-  /// against JobExec, totals against the sps::obs counters, final capacity
+  /// against JobOutcome, totals against the sps::obs counters, final capacity
   /// partition, final ledger audit.
   void finalize(const sim::Simulator& simulator);
 

@@ -68,7 +68,8 @@ void ReferenceSelectiveSuspension::onJobCompletion(sim::Simulator& simulator,
                                                    JobId job) {
   if (config_.tssOnlineMultiplier) {
     const auto& j = simulator.job(job);
-    const auto tat = static_cast<double>(simulator.exec(job).finish - j.submit);
+    const auto tat =
+        static_cast<double>(simulator.outcome(job).finish - j.submit);
     const double sd = std::max(
         1.0, tat / static_cast<double>(std::max<Time>(j.runtime, 10)));
     auto& [n, mean] = onlineSlowdowns_[estimateCategory(j)];

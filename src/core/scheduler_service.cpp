@@ -91,9 +91,9 @@ std::string SchedulerService::doQuery(std::istream& args) {
   std::ostringstream os;
   os << "ok job " << id << " state " << sim::jobStateName(s.state(id))
      << " submit " << s.job(id).submit << " start ";
-  putTime(os, s.exec(id).firstStart);
+  putTime(os, s.outcome(id).firstStart);
   os << " finish ";
-  putTime(os, s.exec(id).finish);
+  putTime(os, s.outcome(id).finish);
   return os.str();
 }
 

@@ -45,7 +45,7 @@ RunStats collect(const sim::Simulator& simulator,
   stats.jobs.reserve(simulator.trace().jobs.size());
   double computeProcSeconds = 0.0;
   for (const workload::Job& j : simulator.trace().jobs) {
-    const sim::JobExec& x = simulator.exec(j.id);
+    const sim::JobOutcome& x = simulator.outcome(j.id);
     // Cancelled jobs never completed any service; they carry no per-job
     // metrics row (slowdown/turnaround are undefined for withdrawn work).
     if (simulator.state(j.id) == sim::JobState::Cancelled) continue;

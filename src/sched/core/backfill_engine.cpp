@@ -47,7 +47,7 @@ bool BackfillEngine::canBackfill(const sim::Simulator& simulator, JobId job,
 }
 
 bool completionPreservesProfile(const sim::Simulator& simulator, JobId job) {
-  const auto& x = simulator.exec(job);
+  const auto& x = simulator.outcome(job);
   return x.suspendCount == 0 &&
          x.firstStart + simulator.job(job).estimate <= simulator.now();
 }

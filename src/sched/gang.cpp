@@ -50,8 +50,8 @@ void GangScheduler::launchActiveSlot(sim::Simulator& simulator) {
       simulator.resumeJob(id);
   }
   for (JobId id : slots_[active_].jobs) {
-    const auto& x = simulator.exec(id);
-    if (simulator.state(id) == sim::JobState::Queued && x.suspendCount == 0)
+    if (simulator.state(id) == sim::JobState::Queued &&
+        simulator.outcome(id).suspendCount == 0)
       simulator.startJob(id);
   }
 }

@@ -18,8 +18,8 @@ void ImmediateService::onSimulationStart(sim::Simulator& simulator) {
 
 bool ImmediateService::inFirstQuantum(const sim::Simulator& s,
                                       JobId id) const {
-  const auto& x = s.exec(id);
-  return s.state(id) == sim::JobState::Running && x.suspendCount == 0 &&
+  return s.state(id) == sim::JobState::Running &&
+         s.outcome(id).suspendCount == 0 &&
          s.accumulatedRun(id) < config_.quantum;
 }
 
@@ -45,8 +45,8 @@ void ImmediateService::onSuspendDrained(sim::Simulator& simulator,
 void ImmediateService::onTimer(sim::Simulator& simulator, std::uint64_t tag) {
   // Quantum-expiry timer; the tag is the job id.
   const JobId job = static_cast<JobId>(tag);
-  const auto& x = simulator.exec(job);
-  if (simulator.state(job) != sim::JobState::Running || x.suspendCount != 0)
+  if (simulator.state(job) != sim::JobState::Running ||
+      simulator.outcome(job).suspendCount != 0)
     return;  // finished or already preempted some other way
   // Suspend only if some waiting job could actually use the processors.
   const std::uint32_t wouldFree =
@@ -138,8 +138,8 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
   // live aggregate does not mirror (overlapping owed sets refcount).
   sim::ProcSet owed = simulator.suspendedOwedSet();
   for (JobId id : waitingIndex_.walk(simulator, kernel::IdleFilter::Idle)) {
-    const auto& x = simulator.exec(id);
     if (simulator.state(id) == sim::JobState::Suspended) {
+      const auto& x = simulator.exec(id);
       // Never bounce a job suspended at this very instant straight back in
       // — the suspension was made to give its processors to someone else.
       if (x.waitSince == simulator.now()) continue;
@@ -164,7 +164,7 @@ void ImmediateService::dispatch(sim::Simulator& simulator) {
   // so a hard-to-place job cannot cascade suspensions for its whole cohort).
   JobId oldest = kInvalidJob;
   for (JobId id : simulator.queuedJobs()) {
-    if (simulator.exec(id).firstStart != kNoTime) continue;
+    if (simulator.outcome(id).firstStart != kNoTime) continue;
     if (oldest == kInvalidJob ||
         simulator.job(id).submit < simulator.job(oldest).submit ||
         (simulator.job(id).submit == simulator.job(oldest).submit &&

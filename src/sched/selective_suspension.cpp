@@ -121,8 +121,8 @@ void SelectiveSuspension::onJobCompletion(sim::Simulator& simulator,
                                           JobId job) {
   if (config_.tssOnlineMultiplier) {
     const auto& j = simulator.job(job);
-    const auto& x = simulator.exec(job);
-    const auto tat = static_cast<double>(x.finish - j.submit);
+    const auto tat =
+        static_cast<double>(simulator.outcome(job).finish - j.submit);
     const double sd = std::max(
         1.0, tat / static_cast<double>(std::max<Time>(j.runtime, 10)));
     auto& [n, mean] = onlineSlowdowns_[estimateCategory(j)];

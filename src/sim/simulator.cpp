@@ -66,10 +66,10 @@ Simulator::Simulator(const workload::Trace& trace, SchedulingPolicy& policy,
       policy_(policy),
       config_(config),
       machine_(trace.machineProcs),
-      exec_(trace.jobs.size()),
+      outcomes_(trace.jobs.size()),
       states_(trace.jobs.size(), JobState::NotArrived),
-      owedRef_(trace.machineProcs, 0),
-      listPos_(trace.jobs.size(), 0) {
+      index_(trace.jobs.size(), kNoIndex),
+      owedRef_(trace.machineProcs, 0) {
   if (config.recorder != nullptr) obs_ = config.recorder;
   workload::validateTrace(trace_);
   unfinished_ = static_cast<std::uint32_t>(trace_.jobs.size());
@@ -136,16 +136,15 @@ JobId Simulator::submit(workload::Job job) {
     steadySnapshotTaken_ = false;
   }
   trace_.jobs.push_back(job);
-  exec_.emplace_back();
+  outcomes_.emplace_back();
   states_.push_back(JobState::NotArrived);
-  listPos_.push_back(0);
+  index_.push_back(kNoIndex);
   ++unfinished_;
   return job.id;
 }
 
 bool Simulator::cancelJob(JobId id) {
   SPS_CHECK_MSG(id < trace_.jobs.size(), "cancelJob(" << id << "): no such job");
-  JobExec& x = exec_[id];
   const JobState from = states_[id];
   switch (from) {
     case JobState::NotArrived:
@@ -157,10 +156,11 @@ bool Simulator::cancelJob(JobId id) {
       if (!policy_.supportsCancel()) return false;
       removeFrom(queued_, id);
       queuedWork_ -= queuedWorkOf(id);
+      index_[id] = kNoIndex;
       break;
     case JobState::Suspended:
       if (!policy_.supportsCancel()) return false;
-      owedRemove(x.procs);
+      owedRemove(live(id).procs);
       removeFrom(suspended_, id);
       break;
     case JobState::Running:
@@ -172,7 +172,8 @@ bool Simulator::cancelJob(JobId id) {
     case JobState::Cancelled:
       return false;
   }
-  if (x.waitSince != kNoTime) {
+  if (from == JobState::Suspended) {
+    JobExec& x = live(id);
     x.accumWait += now_ - x.waitSince;
     x.waitSince = kNoTime;
   }
@@ -181,6 +182,7 @@ bool Simulator::cancelJob(JobId id) {
   --unfinished_;
   notifyStateChange(id, from, JobState::Cancelled);
   if (from != JobState::NotArrived) policy_.onJobCancelled(*this, id);
+  if (from == JobState::Suspended) releaseSlot(id);
   return true;
 }
 
@@ -276,12 +278,12 @@ Time Simulator::nextEventTime() const {
 }
 
 void Simulator::handleArrival(JobId id) {
-  JobExec& x = exec_[id];
   if (states_[id] == JobState::Cancelled) return;  // cancelled before arrival
   SPS_CHECK(states_[id] == JobState::NotArrived);
+  // Arrivals dispatch at their submit time, so a queued job's wait runs
+  // from job(id).submit; it takes a slot only when it first starts.
+  SPS_CHECK(now_ == job(id).submit);
   states_[id] = JobState::Queued;
-  x.remainingWork = job(id).runtime;
-  x.waitSince = now_;
   addTo(queued_, id);
   queuedWork_ += queuedWorkOf(id);
   notifyStateChange(id, JobState::NotArrived, JobState::Queued);
@@ -289,16 +291,20 @@ void Simulator::handleArrival(JobId id) {
 }
 
 void Simulator::handleCompletion(JobId id, std::uint64_t generation) {
-  JobExec& x = exec_[id];
-  if (generation != x.completionGen) return;  // cancelled by a suspension
+  // Superseded by a suspension: either the job is still live under a newer
+  // generation, or it has since been cancelled and given its slot back.
+  if (index_[id] == kNoIndex) return;
+  JobExec& x = live(id);
+  if (generation != x.completionGen) return;
   SPS_CHECK_MSG(states_[id] == JobState::Running,
                 "completion of job " << id << " in state "
                                      << jobStateName(states_[id]));
   machine_.release(x.procs, now_);
   states_[id] = JobState::Finished;
   x.remainingWork = 0;
-  x.finish = now_;
-  x.resumeOverheadElapsed += x.segOverhead;
+  JobOutcome& o = outcomes_[id];
+  o.finish = now_;
+  o.resumeOverheadElapsed += x.segOverhead;
   x.segStart = kNoTime;
   removeFrom(running_, id);
   notifyStateChange(id, JobState::Running, JobState::Finished);
@@ -306,10 +312,11 @@ void Simulator::handleCompletion(JobId id, std::uint64_t generation) {
   SPS_CHECK(unfinished_ > 0);
   --unfinished_;
   policy_.onJobCompletion(*this, id);
+  releaseSlot(id);
 }
 
 void Simulator::handleSuspendDrained(JobId id) {
-  JobExec& x = exec_[id];
+  JobExec& x = live(id);
   SPS_CHECK(states_[id] == JobState::Suspending);
   machine_.release(x.procs, now_);
   states_[id] = JobState::Suspended;
@@ -320,7 +327,8 @@ void Simulator::handleSuspendDrained(JobId id) {
 }
 
 void Simulator::beginSegment(JobId id) {
-  JobExec& x = exec_[id];
+  JobExec& x = live(id);
+  JobOutcome& o = outcomes_[id];
   const JobState from = states_[id];
   // Close the wait period.
   SPS_CHECK(x.waitSince != kNoTime);
@@ -329,11 +337,11 @@ void Simulator::beginSegment(JobId id) {
   states_[id] = JobState::Running;
   x.segStart = now_;
   x.segOverhead = 0;
-  if (x.suspendCount > 0 && config_.overhead != nullptr) {
+  if (o.suspendCount > 0 && config_.overhead != nullptr) {
     x.segOverhead = config_.overhead->resumeOverhead(id);
     SPS_CHECK(x.segOverhead >= 0);
   }
-  if (x.firstStart == kNoTime) x.firstStart = now_;
+  if (o.firstStart == kNoTime) o.firstStart = now_;
   addTo(running_, id);
   events_.push(now_ + x.segOverhead + x.remainingWork,
                EventType::JobCompletion, id, x.completionGen);
@@ -341,44 +349,39 @@ void Simulator::beginSegment(JobId id) {
 }
 
 void Simulator::startJob(JobId id) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Queued,
                 "startJob(" << id << ") in state "
                             << jobStateName(states_[id]));
-  SPS_CHECK_MSG(x.suspendCount == 0,
+  SPS_CHECK_MSG(outcomes_[id].suspendCount == 0,
                 "startJob(" << id << ") on a previously-suspended job; use "
                                "resumeJob");
   const std::uint32_t want = job(id).procs;
   SPS_CHECK_MSG(want <= machine_.freeCount(),
                 "startJob(" << id << "): wants " << want << ", free "
                             << machine_.freeCount());
-  x.procs = machine_.allocate(want, now_);
-  removeFrom(queued_, id);
-  queuedWork_ -= queuedWorkOf(id);
+  ProcSet procs = machine_.allocate(want, now_);
+  leaveQueue(id).procs = std::move(procs);
   beginSegment(id);
 }
 
 void Simulator::startJobAvoiding(JobId id, const ProcSet& avoid) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Queued,
                 "startJobAvoiding(" << id << ") in state "
                                     << jobStateName(states_[id]));
-  SPS_CHECK_MSG(x.suspendCount == 0,
+  SPS_CHECK_MSG(outcomes_[id].suspendCount == 0,
                 "startJobAvoiding(" << id << ") on a previously-suspended "
                                        "job; use resumeJob");
-  x.procs = machine_.allocateAvoiding(job(id).procs, avoid, now_);
-  removeFrom(queued_, id);
-  queuedWork_ -= queuedWorkOf(id);
+  ProcSet procs = machine_.allocateAvoiding(job(id).procs, avoid, now_);
+  leaveQueue(id).procs = std::move(procs);
   beginSegment(id);
 }
 
 void Simulator::startJobPreferring(JobId id, const ProcSet& softAvoid,
                                    const ProcSet& hardAvoid) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Queued,
                 "startJobPreferring(" << id << ") in state "
                                       << jobStateName(states_[id]));
-  SPS_CHECK_MSG(x.suspendCount == 0,
+  SPS_CHECK_MSG(outcomes_[id].suspendCount == 0,
                 "startJobPreferring(" << id << ") on a previously-suspended "
                                          "job; use resumeJob");
   // Fence the hard set by pre-removing it from the pool: allocate from the
@@ -387,19 +390,18 @@ void Simulator::startJobPreferring(JobId id, const ProcSet& softAvoid,
   SPS_CHECK_MSG(pool.count() >= job(id).procs,
                 "startJobPreferring(" << id << "): insufficient unfenced "
                                          "processors");
-  x.procs = machine_.allocatePreferring(job(id).procs, softAvoid, hardAvoid,
-                                        now_);
-  SPS_CHECK(!x.procs.intersects(hardAvoid));
-  removeFrom(queued_, id);
-  queuedWork_ -= queuedWorkOf(id);
+  ProcSet procs = machine_.allocatePreferring(job(id).procs, softAvoid,
+                                             hardAvoid, now_);
+  SPS_CHECK(!procs.intersects(hardAvoid));
+  leaveQueue(id).procs = std::move(procs);
   beginSegment(id);
 }
 
 void Simulator::resumeJob(JobId id) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Suspended,
                 "resumeJob(" << id << ") in state "
                              << jobStateName(states_[id]));
+  JobExec& x = live(id);
   machine_.allocateExact(x.procs, now_);
   owedRemove(x.procs);
   removeFrom(suspended_, id);
@@ -407,10 +409,10 @@ void Simulator::resumeJob(JobId id) {
 }
 
 void Simulator::resumeJobMigrating(JobId id, const ProcSet& avoid) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Suspended,
                 "resumeJobMigrating(" << id << ") in state "
                                       << jobStateName(states_[id]));
+  JobExec& x = live(id);
   owedRemove(x.procs);  // before the saved set is replaced below
   x.procs = machine_.allocateAvoiding(job(id).procs, avoid, now_);
   removeFrom(suspended_, id);
@@ -418,19 +420,20 @@ void Simulator::resumeJobMigrating(JobId id, const ProcSet& avoid) {
 }
 
 void Simulator::suspendJob(JobId id) {
-  JobExec& x = exec_[id];
   SPS_CHECK_MSG(states_[id] == JobState::Running,
                 "suspendJob(" << id << ") in state "
                               << jobStateName(states_[id]));
+  JobExec& x = live(id);
+  JobOutcome& o = outcomes_[id];
   // Work completed in the current segment (the read-back overhead at the
   // front of the segment does no useful work).
   const Time elapsed = now_ - x.segStart;
   const Time done = std::clamp<Time>(elapsed - x.segOverhead, 0,
                                      x.remainingWork);
   x.remainingWork -= done;
-  x.resumeOverheadElapsed += std::min(elapsed, x.segOverhead);
+  o.resumeOverheadElapsed += std::min(elapsed, x.segOverhead);
   ++x.completionGen;  // invalidate the scheduled completion
-  ++x.suspendCount;
+  ++o.suspendCount;
   ++totalSuspensions_;
   x.segStart = kNoTime;
   x.waitSince = now_;  // wait (and thus xfactor) accrues while suspended
@@ -440,7 +443,7 @@ void Simulator::suspendJob(JobId id) {
   if (config_.overhead != nullptr) {
     drain = config_.overhead->suspendOverhead(id);
     SPS_CHECK(drain >= 0);
-    x.drainOverhead += drain;
+    o.drainOverhead += drain;
   }
   if (drain > 0) {
     states_[id] = JobState::Suspending;
@@ -490,7 +493,8 @@ void Simulator::scheduleTimer(Time when, std::uint64_t tag) {
 }
 
 Time Simulator::accumulatedRun(JobId id) const {
-  const JobExec& x = exec_[id];
+  if (states_[id] == JobState::Queued) return 0;
+  const JobExec& x = exec(id);
   Time done = job(id).runtime - x.remainingWork;
   if (states_[id] == JobState::Running) {
     // remainingWork is only decremented at suspension; subtract the current
@@ -509,9 +513,41 @@ double Simulator::instantaneousXfactor(JobId id) const {
   return (static_cast<double>(accumulatedWait(id)) + run) / run;
 }
 
+std::uint32_t& Simulator::listPos(JobId id) {
+  return states_[id] == JobState::Queued ? index_[id]
+                                         : slab_[index_[id]].listPos;
+}
+
 void Simulator::addTo(std::vector<JobId>& list, JobId id) {
-  listPos_[id] = list.size();
+  listPos(id) = static_cast<std::uint32_t>(list.size());
   list.push_back(id);
+}
+
+JobExec& Simulator::leaveQueue(JobId id) {
+  removeFrom(queued_, id);
+  queuedWork_ -= queuedWorkOf(id);
+  std::uint32_t slot;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    slab_[slot].exec = JobExec{};
+  }
+  slab_[slot].job = id;
+  index_[id] = slot;
+  JobExec& x = slab_[slot].exec;
+  x.remainingWork = job(id).runtime;
+  x.waitSince = job(id).submit;
+  return x;
+}
+
+void Simulator::releaseSlot(JobId id) {
+  const std::uint32_t slot = index_[id];
+  slab_[slot].job = kInvalidJob;
+  freeSlots_.push_back(slot);
+  index_[id] = kNoIndex;
 }
 
 void Simulator::owedAdd(const ProcSet& procs) {
@@ -528,13 +564,13 @@ void Simulator::owedRemove(const ProcSet& procs) {
 }
 
 void Simulator::removeFrom(std::vector<JobId>& list, JobId id) {
-  const std::size_t pos = listPos_[id];
+  const std::uint32_t pos = listPos(id);
   SPS_CHECK_MSG(pos < list.size() && list[pos] == id,
                 "job " << id << " missing from state list");
   // Swap-and-pop: O(1), at the cost of list order — which the accessors
   // already declare meaningless (policies must impose their own order).
   list[pos] = list.back();
-  listPos_[list[pos]] = pos;
+  listPos(list[pos]) = pos;
   list.pop_back();
 }
 
@@ -543,9 +579,15 @@ void Simulator::auditState() const {
   ProcSet owed;
   ProcSet draining;
   std::uint32_t busyCount = 0;
-  std::size_t nQueued = 0, nRunning = 0, nSusp = 0;
-  for (JobId id = 0; id < exec_.size(); ++id) {
-    const JobExec& x = exec_[id];
+  std::size_t nRunning = 0, nSusp = 0, nLive = 0;
+  for (std::uint32_t slot = 0; slot < slab_.size(); ++slot) {
+    const JobId id = slab_[slot].job;
+    if (id == kInvalidJob) continue;
+    SPS_CHECK_MSG(index_[id] == slot,
+                  "slab slot " << slot << " names job " << id
+                               << ", whose slot is " << index_[id]);
+    ++nLive;
+    const JobExec& x = slab_[slot].exec;
     switch (states_[id]) {
       case JobState::Running:
       case JobState::Suspending: {
@@ -569,15 +611,21 @@ void Simulator::auditState() const {
         owed |= x.procs;
         ++nSusp;
         break;
-      case JobState::Queued:
-        ++nQueued;
-        break;
       case JobState::NotArrived:
+      case JobState::Queued:
+        SPS_CHECK_MSG(false, "job " << id << " holds a slab slot before "
+                                           "its first start");
+        break;
       case JobState::Finished:
       case JobState::Cancelled:
+        // Audited from a callback of its terminal transition: the slot is
+        // given back after the last one.
         break;
     }
   }
+  SPS_CHECK_MSG(nLive + freeSlots_.size() == slab_.size(),
+                "slab leak: " << nLive << " live + " << freeSlots_.size()
+                              << " free != " << slab_.size() << " slots");
   SPS_CHECK_MSG(owed == suspendedOwed_,
                 "suspended-owed aggregate drifted: recomputed "
                     << owed.toString() << " vs maintained "
@@ -592,7 +640,13 @@ void Simulator::auditState() const {
                 "processor conservation violated: busy=" << busyCount
                     << " free=" << machine_.freeCount() << " total="
                     << machine_.totalProcs());
-  SPS_CHECK(nQueued == queued_.size());
+  for (std::uint32_t pos = 0; pos < queued_.size(); ++pos) {
+    const JobId id = queued_[pos];
+    SPS_CHECK_MSG(states_[id] == JobState::Queued && index_[id] == pos,
+                  "queued job " << id << " in state "
+                                << jobStateName(states_[id])
+                                << " or at the wrong position");
+  }
   SPS_CHECK(nRunning == running_.size());
   SPS_CHECK(nSusp == suspended_.size());
   double queuedWork = 0.0;

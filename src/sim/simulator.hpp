@@ -13,8 +13,11 @@
 //     (core::SchedulerService) can feed the same core a live stream;
 //   * named-processor allocation (local preemption: a suspended job resumes
 //     on its exact original processors);
-//   * per-job execution state: remaining work, accumulated wait (frozen
-//     while running — the xfactor rule of Section IV-A), suspension counts;
+//   * per-job execution state, kept only while a job is in execution
+//     (started, not yet done) in a slab of reusable slots: processors,
+//     remaining work, accumulated wait (frozen while running — the xfactor
+//     rule of Section IV-A); and a compact per-job outcome (start, finish,
+//     suspension count, overhead) kept for the whole run;
 //   * completion cancellation via generation counters;
 //   * optional suspension/restart overhead (Section V-A): suspending holds
 //     the processors for the write-out, resuming prepends the read-back.
@@ -29,6 +32,7 @@
 #include "sim/machine.hpp"
 #include "sim/policy.hpp"
 #include "sim/procset.hpp"
+#include "util/check.hpp"
 #include "workload/job.hpp"
 
 namespace sps::sim {
@@ -45,14 +49,39 @@ enum class JobState : std::uint8_t {
 
 [[nodiscard]] const char* jobStateName(JobState state);
 
-/// Dynamic execution state of one job. Readable by policies and by the
-/// metrics layer after the run.
+/// Result of one job, kept for every submitted job for the whole run and
+/// readable at any time (Simulator::outcome()): what the metrics layer, the
+/// service's query replies and the differential harness report.
+struct JobOutcome {
+  Time firstStart = kNoTime;
+  Time finish = kNoTime;
+  /// Seconds spent writing the memory image out on suspensions (drains run
+  /// to completion, so this is always fully elapsed).
+  Time drainOverhead = 0;
+  /// Seconds of read-back actually elapsed (a segment can be preempted
+  /// before its read-back completes; only the elapsed part counts).
+  Time resumeOverheadElapsed = 0;
+  std::uint32_t suspendCount = 0;
+  /// Total overhead seconds this job's processors spent not computing.
+  [[nodiscard]] Time overheadTotal() const {
+    return drainOverhead + resumeOverheadElapsed;
+  }
+};
+static_assert(sizeof(JobOutcome) <= 40,
+              "JobOutcome is the per-job record a whole run keeps");
+
+/// Execution state of one live job (Simulator::exec()): a job that has
+/// started and is not yet done. It exists only from the job's first start
+/// until the last callback of its Finished or Cancelled transition: the
+/// simulator keeps it in a slot of a slab sized by the peak number of live
+/// jobs, not by the trace length, and hands the slot to a later start once
+/// the job is done. A Queued job holds no slot — it has not run, so its
+/// state is its trace row (remaining work = runtime, waiting since submit).
 ///
 /// The job's lifecycle state itself lives in a dense side array inside the
 /// Simulator (SoA layout: one byte per job, read via Simulator::state()).
 /// The hot paths — index reconciliation, skip-on-stale walks, dispatch
-/// scans — touch only the state byte of many jobs at once, and keeping
-/// those reads out of this ~200-byte record keeps them in cache.
+/// scans — touch only the state byte of many jobs at once.
 struct JobExec {
   /// Processors currently held (Running/Suspending) or to reclaim
   /// (Suspended). Empty before first start.
@@ -70,19 +99,6 @@ struct JobExec {
   /// Bumped on every suspension; a completion event with a stale generation
   /// is ignored.
   std::uint64_t completionGen = 0;
-  std::uint32_t suspendCount = 0;
-  Time firstStart = kNoTime;
-  Time finish = kNoTime;
-  /// Seconds spent writing the memory image out on suspensions (drains run
-  /// to completion, so this is always fully elapsed).
-  Time drainOverhead = 0;
-  /// Seconds of read-back actually elapsed (a segment can be preempted
-  /// before its read-back completes; only the elapsed part counts).
-  Time resumeOverheadElapsed = 0;
-  /// Total overhead seconds this job's processors spent not computing.
-  [[nodiscard]] Time overheadTotal() const {
-    return drainOverhead + resumeOverheadElapsed;
-  }
 };
 
 class Simulator;
@@ -242,7 +258,27 @@ class Simulator {
   [[nodiscard]] const workload::Job& job(JobId id) const {
     return trace_.jobs[id];
   }
-  [[nodiscard]] const JobExec& exec(JobId id) const { return exec_[id]; }
+  /// Execution state of a live job: valid from its first start through
+  /// Running, Suspending and Suspended, up to and including the observer and
+  /// policy callbacks of its Finished or Cancelled transition. Checked: a
+  /// NotArrived or Queued job, or a Finished/Cancelled one after those
+  /// callbacks, throws InvariantError. Read outcome() for results.
+  [[nodiscard]] const JobExec& exec(JobId id) const {
+    SPS_CHECK_MSG(id < index_.size() && index_[id] != kNoIndex &&
+                      states_[id] != JobState::Queued,
+                  "exec(" << id << ") on a job that is not live (state "
+                          << (id < states_.size() ? jobStateName(states_[id])
+                                                  : "none")
+                          << "); read outcome() instead");
+    return slab_[index_[id]].exec;
+  }
+  /// Result record of any submitted job, valid for the whole run.
+  [[nodiscard]] const JobOutcome& outcome(JobId id) const {
+    return outcomes_[id];
+  }
+  /// Slots in the live-job slab: the peak number of jobs live (started, not
+  /// yet done) at once so far; free slots are reused before the slab grows.
+  [[nodiscard]] std::size_t liveSlots() const { return slab_.size(); }
   /// Lifecycle state, from the dense SoA side array (see JobExec).
   [[nodiscard]] JobState state(JobId id) const { return states_[id]; }
   [[nodiscard]] const Machine& machine() const { return machine_; }
@@ -324,7 +360,8 @@ class Simulator {
   /// priority-index rebuilds and the preemption tick gate evaluate this for
   /// every idle job at every decision point.
   [[nodiscard]] Time accumulatedWait(JobId id) const {
-    const JobExec& x = exec_[id];
+    if (states_[id] == JobState::Queued) return now_ - job(id).submit;
+    const JobExec& x = exec(id);
     Time wait = x.accumWait;
     if (x.waitSince != kNoTime) wait += now_ - x.waitSince;
     return wait;
@@ -365,7 +402,9 @@ class Simulator {
     return eventsProcessed_;
   }
 
-  /// Full structural audit (free/busy partition vs job states). O(jobs).
+  /// Full structural audit (free/busy partition vs live job states). Walks
+  /// the live-job slab and the queue only: O(peak live + queued jobs),
+  /// whatever the trace length.
   /// Called from tests; cheap enough to call every event in debug builds.
   void auditState() const;
 
@@ -404,6 +443,15 @@ class Simulator {
   void notifyStateChange(JobId id, JobState from, JobState to);
   void addTo(std::vector<JobId>& list, JobId id);
   void removeFrom(std::vector<JobId>& list, JobId id);
+  /// First start: take `id` off queued_ and give it a slab slot (reusing a
+  /// free one first), initialised from its trace row.
+  JobExec& leaveQueue(JobId id);
+  /// Return a Finished/Cancelled job's slot, after its last callback.
+  void releaseSlot(JobId id);
+  [[nodiscard]] JobExec& live(JobId id) { return slab_[index_[id]].exec; }
+  /// The job's position in queued_ (kept in index_) or in running_/
+  /// suspended_ (kept in its slot).
+  [[nodiscard]] std::uint32_t& listPos(JobId id);
   void owedAdd(const ProcSet& procs);
   void owedRemove(const ProcSet& procs);
   [[nodiscard]] double queuedWorkOf(JobId id) const {
@@ -424,9 +472,26 @@ class Simulator {
   /// Arrival cursor: trace_.jobs[nextArrival_] is the next job to arrive.
   /// The jobs are sorted by submit time (validateTrace, monotone submit()).
   std::size_t nextArrival_ = 0;
-  std::vector<JobExec> exec_;
-  /// SoA: per-job lifecycle state, one byte per job (see JobExec).
+  /// One slab entry per live job: its execution state, its position in
+  /// running_ or suspended_ (a job is in at most one of the three lists at
+  /// a time; the position lets removeFrom swap-and-pop in O(1), which is
+  /// why the lists are documented as unordered), and its id (kInvalidJob
+  /// while the slot is free).
+  struct LiveSlot {
+    JobExec exec;
+    std::uint32_t listPos = 0;
+    JobId job = kInvalidJob;
+  };
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+  std::vector<LiveSlot> slab_;
+  std::vector<std::uint32_t> freeSlots_;
+  /// Per job, besides its trace row: the outcome, the lifecycle state (one
+  /// byte; see JobExec) and one 4-byte index read by state — a Queued job's
+  /// position in queued_, a live job's slab slot, kNoIndex otherwise.
+  /// Nothing else grows with the trace.
+  std::vector<JobOutcome> outcomes_;
   std::vector<JobState> states_;
+  std::vector<std::uint32_t> index_;
   std::vector<JobId> queued_;
   double queuedWork_ = 0.0;  ///< procs x estimate summed over queued_
   std::vector<JobId> running_;
@@ -434,10 +499,6 @@ class Simulator {
   ProcSet suspendedOwed_;   ///< refcounted union of Suspended saved sets
   ProcSet draining_;        ///< union of Suspending (write-out) holdings
   std::vector<std::uint16_t> owedRef_;  ///< per-proc owners in suspendedOwed_
-  /// Position of each job in whichever of the three lists holds it (a job
-  /// is in at most one at a time). Lets removeFrom swap-and-pop in O(1) —
-  /// which is why the lists are documented as unordered.
-  std::vector<std::size_t> listPos_;
   Time now_ = 0;
   Time firstSubmit_ = 0;
   Time lastSubmit_ = 0;

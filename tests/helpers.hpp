@@ -52,8 +52,11 @@ class ScriptedPolicy final : public sim::SchedulingPolicy {
   std::function<void(sim::Simulator&, JobId)> completion;
   std::function<void(sim::Simulator&, JobId)> drained;
   std::function<void(sim::Simulator&, std::uint64_t)> timer;
+  /// supportsCancel(): whether Queued/Suspended jobs may be withdrawn.
+  bool cancellable = false;
 
   [[nodiscard]] std::string name() const override { return "scripted"; }
+  [[nodiscard]] bool supportsCancel() const override { return cancellable; }
 
   void onJobArrival(sim::Simulator& s, JobId j) override {
     if (arrival) arrival(s, j);
@@ -98,6 +101,40 @@ class ScriptedPolicy final : public sim::SchedulingPolicy {
       }
     }
   }
+};
+
+/// Each job's execution state as it reads in the observer of its Finished
+/// transition, the last moment Simulator::exec() is valid for it. After the
+/// run only Simulator::outcome() remains, so tests that check a job's final
+/// processors, work or wait read them from here. Construct before the run;
+/// it subscribes to `s` and must outlive it.
+class FinishedExecLog {
+ public:
+  struct Entry {
+    sim::ProcSet procs;
+    Time remainingWork = -1;
+    Time accumulatedWait = -1;
+  };
+
+  explicit FinishedExecLog(sim::Simulator& s) {
+    s.observers().onStateChange([this](const sim::Simulator& sim, JobId id,
+                                       sim::JobState, sim::JobState to) {
+      if (to != sim::JobState::Finished) return;
+      if (id >= entries_.size()) entries_.resize(id + 1);
+      const sim::JobExec& x = sim.exec(id);
+      entries_[id] = {x.procs, x.remainingWork, sim.accumulatedWait(id)};
+    });
+  }
+  FinishedExecLog(const FinishedExecLog&) = delete;
+  FinishedExecLog& operator=(const FinishedExecLog&) = delete;
+
+  /// Throws std::out_of_range for a job that never finished.
+  [[nodiscard]] const Entry& operator[](JobId id) const {
+    return entries_.at(id);
+  }
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 }  // namespace sps::test

@@ -54,9 +54,9 @@ Outcome run(const workload::Trace& trace, const sched::PolicySpec& spec,
       });
   simulator.run();
   for (JobId id = 0; id < trace.jobs.size(); ++id) {
-    out.firstStart.push_back(simulator.exec(id).firstStart);
-    out.finish.push_back(simulator.exec(id).finish);
-    out.suspendCount.push_back(simulator.exec(id).suspendCount);
+    out.firstStart.push_back(simulator.outcome(id).firstStart);
+    out.finish.push_back(simulator.outcome(id).finish);
+    out.suspendCount.push_back(simulator.outcome(id).suspendCount);
   }
   const auto& counters = simulator.counters();
   out.backfillStarts = counters.value(Counter::BackfillStarts);

@@ -44,7 +44,7 @@ class ChaosPolicy final : public sim::SchedulingPolicy {
       const JobId victim = running[static_cast<std::size_t>(
           rng_.uniformInt(0, static_cast<std::int64_t>(running.size()) - 1))];
       // Cap per-job suspensions so the chaos converges.
-      if (s.exec(victim).suspendCount < 8) s.suspendJob(victim);
+      if (s.outcome(victim).suspendCount < 8) s.suspendJob(victim);
     }
     // Random resumes.
     std::vector<JobId> suspended(s.suspendedJobs());
@@ -136,17 +136,19 @@ TEST_P(ChaosFuzz, KernelInvariantsSurviveRandomActions) {
   // arm as no-ops.)
   check::InvariantChecker checker(check::CheckConfig::all(1));
   checker.arm(s, policy);
+  const test::FinishedExecLog finished(s);
   s.run();
   checker.finalize(s);
   EXPECT_GT(checker.epochAudits(), 0u);
   s.auditState();
 
   for (const auto& j : trace.jobs) {
-    const auto& x = s.exec(j.id);
+    const auto& x = s.outcome(j.id);
     EXPECT_EQ(s.state(j.id), sim::JobState::Finished);
-    EXPECT_EQ(x.remainingWork, 0);
+    EXPECT_EQ(finished[j.id].remainingWork, 0);
     EXPECT_GE(x.finish, j.submit + j.runtime);
-    EXPECT_EQ(s.accumulatedWait(j.id) + j.runtime + x.resumeOverheadElapsed,
+    EXPECT_EQ(finished[j.id].accumulatedWait + j.runtime +
+                  x.resumeOverheadElapsed,
               x.finish - j.submit);
   }
   // Collector must accept whatever the chaos produced.

@@ -18,8 +18,8 @@ TEST(Conservative, BackfillsIntoHole) {
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 2);     // backfilled immediately
-  EXPECT_EQ(s.exec(1).firstStart, 100);   // reservation honoured
+  EXPECT_EQ(s.outcome(2).firstStart, 2);     // backfilled immediately
+  EXPECT_EQ(s.outcome(1).firstStart, 100);   // reservation honoured
 }
 
 TEST(Conservative, BackfillMustNotDelayAnyReservation) {
@@ -29,8 +29,8 @@ TEST(Conservative, BackfillMustNotDelayAnyReservation) {
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 200, 1}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(2).firstStart, 100);  // not backfilled before job1
-  EXPECT_EQ(s.exec(1).firstStart, 100);  // job1's guarantee intact
+  EXPECT_GE(s.outcome(2).firstStart, 100);  // not backfilled before job1
+  EXPECT_EQ(s.outcome(1).firstStart, 100);  // job1's guarantee intact
 }
 
 TEST(Conservative, LaterJobCannotDelayEarlierReservation) {
@@ -40,9 +40,9 @@ TEST(Conservative, LaterJobCannotDelayEarlierReservation) {
       makeTrace(4, {{0, 100, 4}, {1, 100, 4}, {2, 100, 4}, {3, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(2).firstStart, 200);
-  EXPECT_EQ(s.exec(3).firstStart, 300);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 200);
+  EXPECT_EQ(s.outcome(3).firstStart, 300);
 }
 
 TEST(Conservative, CompressionOnEarlyCompletion) {
@@ -52,7 +52,7 @@ TEST(Conservative, CompressionOnEarlyCompletion) {
   const auto trace = makeTrace(4, {{0, 100, 4, 1000}, {1, 50, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
 }
 
 TEST(Conservative, CompressionPreservesOrderWhenNoHole) {
@@ -62,8 +62,8 @@ TEST(Conservative, CompressionPreservesOrderWhenNoHole) {
       4, {{0, 100, 4, 500}, {1, 100, 4}, {2, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(2).firstStart, 200);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 200);
 }
 
 TEST(Conservative, GuaranteeOfQueuedJobVisible) {
@@ -75,7 +75,7 @@ TEST(Conservative, GuaranteeOfQueuedJobVisible) {
   // job0's estimated end (100).
   sim::Simulator s(trace, policy);
   s.run();
-  guarantee = s.exec(1).firstStart;
+  guarantee = s.outcome(1).firstStart;
   EXPECT_EQ(guarantee, 100);
   EXPECT_EQ(policy.guaranteeOf(1), kNoTime);  // consumed once started
 }
@@ -91,12 +91,12 @@ TEST(Conservative, SequentialStreamKeepsMachineBusy) {
   sim::Simulator s(trace, policy);
   s.run();
   // The 16 sequential jobs all start at 0.
-  for (JobId i = 0; i < 16; ++i) EXPECT_EQ(s.exec(i).firstStart, 0);
+  for (JobId i = 0; i < 16; ++i) EXPECT_EQ(s.outcome(i).firstStart, 0);
   // The wide job starts exactly at 100.
-  EXPECT_EQ(s.exec(16).firstStart, 100);
+  EXPECT_EQ(s.outcome(16).firstStart, 100);
   // The trailing 50 s jobs cannot run before 100 (they would delay the wide
   // job: every processor is busy until then), so they follow it.
-  for (JobId i = 17; i < 25; ++i) EXPECT_GE(s.exec(i).firstStart, 100);
+  for (JobId i = 17; i < 25; ++i) EXPECT_GE(s.outcome(i).firstStart, 100);
 }
 
 TEST(Conservative, EstimateOverrunImpossibleByConstruction) {
@@ -106,7 +106,7 @@ TEST(Conservative, EstimateOverrunImpossibleByConstruction) {
   const auto trace = makeTrace(4, {{0, 100, 4, 100}, {0, 100, 4, 100}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).finish, 200);
+  EXPECT_EQ(s.outcome(1).finish, 200);
 }
 
 TEST(Conservative, NoSuspensionsEver) {

@@ -35,8 +35,8 @@ TEST(DepthBF, BackfillsIntoHoleLikeEasy) {
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 2);
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 2);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
 }
 
 TEST(DepthBF, DepthOneLeavesSecondJobUnprotected) {
@@ -47,9 +47,9 @@ TEST(DepthBF, DepthOneLeavesSecondJobUnprotected) {
       makeTrace(4, {{0, 100, 2}, {1, 100, 4}, {2, 100, 3}, {3, 97, 2}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(3).firstStart, 3);    // backfilled
-  EXPECT_EQ(s.exec(1).firstStart, 100);  // head protected
-  EXPECT_GE(s.exec(2).firstStart, 200);  // second job delayed
+  EXPECT_EQ(s.outcome(3).firstStart, 3);    // backfilled
+  EXPECT_EQ(s.outcome(1).firstStart, 100);  // head protected
+  EXPECT_GE(s.outcome(2).firstStart, 200);  // second job delayed
 }
 
 TEST(DepthBF, DepthTwoProtectsSecondJob) {
@@ -59,12 +59,12 @@ TEST(DepthBF, DepthTwoProtectsSecondJob) {
       makeTrace(4, {{0, 100, 2}, {1, 100, 4}, {2, 100, 3}, {3, 97, 2}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
   // Job 2 reserved right after job 1; job 3's backfill (ending at 100)
   // would occupy 2 of the 4 procs job 1 needs... it actually fits before
   // job 1's anchor; the reservation structure decides. Either way job 2's
   // guarantee (200) must hold:
-  EXPECT_LE(s.exec(2).firstStart, 200);
+  EXPECT_LE(s.outcome(2).firstStart, 200);
 }
 
 TEST(DepthBF, UnlimitedDepthMatchesConservative) {
@@ -84,7 +84,7 @@ TEST(DepthBF, UnlimitedDepthMatchesConservative) {
   // re-anchors a different one first, so when job 7 ends early at
   // t=13670 conservative starts job 8 and depth:inf job 6.
   for (JobId i = 0; i < trace.jobs.size(); ++i) {
-    EXPECT_EQ(a.exec(i).firstStart, b.exec(i).firstStart) << "job " << i;
+    EXPECT_EQ(a.outcome(i).firstStart, b.outcome(i).firstStart) << "job " << i;
   }
 }
 

@@ -17,8 +17,8 @@ TEST(Easy, StartsHeadWhenItFits) {
   const auto trace = makeTrace(8, {{0, 100, 4}, {1, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).firstStart, 0);
-  EXPECT_EQ(s.exec(1).firstStart, 1);
+  EXPECT_EQ(s.outcome(0).firstStart, 0);
+  EXPECT_EQ(s.outcome(1).firstStart, 1);
 }
 
 TEST(Easy, BackfillByEarlyTermination) {
@@ -28,8 +28,8 @@ TEST(Easy, BackfillByEarlyTermination) {
   const auto trace = makeTrace(4, {{0, 100, 3}, {1, 100, 4}, {2, 50, 1}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 2);
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 2);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
   EXPECT_EQ(policy.backfillCount(), 1u);
 }
 
@@ -40,8 +40,8 @@ TEST(Easy, BackfillByExtraProcessors) {
   const auto trace = makeTrace(8, {{0, 100, 4}, {1, 100, 6}, {2, 500, 2}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 2);
-  EXPECT_EQ(s.exec(1).firstStart, 100);  // head not delayed
+  EXPECT_EQ(s.outcome(2).firstStart, 2);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);  // head not delayed
 }
 
 TEST(Easy, BackfillRejectedWhenItWouldDelayHead) {
@@ -50,8 +50,8 @@ TEST(Easy, BackfillRejectedWhenItWouldDelayHead) {
   const auto trace = makeTrace(8, {{0, 100, 4}, {1, 100, 6}, {2, 500, 3}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);     // head on time
-  EXPECT_GE(s.exec(2).firstStart, 100);     // job2 had to wait
+  EXPECT_EQ(s.outcome(1).firstStart, 100);     // head on time
+  EXPECT_GE(s.outcome(2).firstStart, 100);     // job2 had to wait
 }
 
 TEST(Easy, HeadJobCannotBeStarvedByStream) {
@@ -65,7 +65,7 @@ TEST(Easy, HeadJobCannotBeStarvedByStream) {
   const auto trace = makeTrace(8, jobs);
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
 }
 
 TEST(Easy, SecondQueuedJobHasNoReservation) {
@@ -79,9 +79,9 @@ TEST(Easy, SecondQueuedJobHasNoReservation) {
       makeTrace(4, {{0, 100, 2}, {1, 100, 4}, {2, 100, 3}, {3, 97, 2}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(3).firstStart, 3);    // aggressive backfill
-  EXPECT_EQ(s.exec(1).firstStart, 100);  // head unharmed
-  EXPECT_GE(s.exec(2).firstStart, 200);  // second queued job delayed
+  EXPECT_EQ(s.outcome(3).firstStart, 3);    // aggressive backfill
+  EXPECT_EQ(s.outcome(1).firstStart, 100);  // head unharmed
+  EXPECT_GE(s.outcome(2).firstStart, 200);  // second queued job delayed
 }
 
 TEST(Easy, UsesEstimatesNotRuntimes) {
@@ -92,8 +92,8 @@ TEST(Easy, UsesEstimatesNotRuntimes) {
   const auto trace = makeTrace(8, {{0, 100, 5}, {1, 100, 8}, {2, 10, 3, 200}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(2).firstStart, 100);
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_GE(s.outcome(2).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
 }
 
 TEST(Easy, EarlyCompletionTriggersReschedule) {
@@ -102,7 +102,7 @@ TEST(Easy, EarlyCompletionTriggersReschedule) {
   const auto trace = makeTrace(4, {{0, 50, 4, 1000}, {1, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 50);
+  EXPECT_EQ(s.outcome(1).firstStart, 50);
 }
 
 TEST(Easy, FifoAmongEqualJobs) {
@@ -111,9 +111,9 @@ TEST(Easy, FifoAmongEqualJobs) {
       makeTrace(4, {{0, 100, 4}, {1, 100, 4}, {1, 100, 4}, {1, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(2).firstStart, 200);
-  EXPECT_EQ(s.exec(3).firstStart, 300);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 200);
+  EXPECT_EQ(s.outcome(3).firstStart, 300);
 }
 
 TEST(Easy, NoSuspensionsEver) {
@@ -131,7 +131,7 @@ TEST(Easy, BackfillImprovesOverFcfsShape) {
   sim::Simulator s(trace, policy);
   s.run();
   // FCFS would start job2 at 200 (see test_fcfs); EASY starts it at t=2.
-  EXPECT_EQ(s.exec(2).firstStart, 2);
+  EXPECT_EQ(s.outcome(2).firstStart, 2);
 }
 
 }  // namespace

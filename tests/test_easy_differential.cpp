@@ -70,8 +70,8 @@ Outcome runPolicy(const workload::Trace& trace, Policy& policy,
   }
   simulator.run();
   for (JobId id = 0; id < trace.jobs.size(); ++id) {
-    run.firstStart.push_back(simulator.exec(id).firstStart);
-    run.finish.push_back(simulator.exec(id).finish);
+    run.firstStart.push_back(simulator.outcome(id).firstStart);
+    run.finish.push_back(simulator.outcome(id).finish);
   }
   const auto& counters = simulator.counters();
   run.backfillStarts = counters.value(Counter::BackfillStarts);
@@ -250,8 +250,8 @@ TEST(EasyOnePass, CancelledPivotReleasesTheShadow) {
   EXPECT_TRUE(s.cancelJob(1));
   EXPECT_EQ(s.state(2), sim::JobState::Running);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 2);
-  EXPECT_EQ(s.exec(1).firstStart, kNoTime);
+  EXPECT_EQ(s.outcome(2).firstStart, 2);
+  EXPECT_EQ(s.outcome(1).firstStart, kNoTime);
 }
 
 TEST(EasyOnePass, PassStartingWithNoFreeProcessors) {
@@ -270,7 +270,7 @@ TEST(EasyOnePass, PassStartingWithNoFreeProcessors) {
   EXPECT_EQ(counters.value(Counter::BackfillTests), 0u);
   EXPECT_EQ(counters.value(Counter::BackfillRejects), 0u + 1u + 2u);
   s.run();
-  EXPECT_EQ(s.exec(3).firstStart, 100);
+  EXPECT_EQ(s.outcome(3).firstStart, 100);
   expectMatchesRestartScan(trace, QueueOrder::ShortestFirst, "free = 0");
 }
 

@@ -32,9 +32,9 @@ TEST(SjfBackfill, ShortestEstimateJumpsTheQueue) {
       4, {{0, 1000, 4}, {1, 500, 4}, {2, 100, 4}, {3, 300, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 1000);  // 100 s job first
-  EXPECT_EQ(s.exec(3).firstStart, 1100);  // then 300 s
-  EXPECT_EQ(s.exec(1).firstStart, 1400);  // then 500 s
+  EXPECT_EQ(s.outcome(2).firstStart, 1000);  // 100 s job first
+  EXPECT_EQ(s.outcome(3).firstStart, 1100);  // then 300 s
+  EXPECT_EQ(s.outcome(1).firstStart, 1400);  // then 500 s
 }
 
 TEST(SjfBackfill, FcfsOrderUnchangedByDefault) {
@@ -43,9 +43,9 @@ TEST(SjfBackfill, FcfsOrderUnchangedByDefault) {
       4, {{0, 1000, 4}, {1, 500, 4}, {2, 100, 4}, {3, 300, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 1000);
-  EXPECT_EQ(s.exec(2).firstStart, 1500);
-  EXPECT_EQ(s.exec(3).firstStart, 1600);
+  EXPECT_EQ(s.outcome(1).firstStart, 1000);
+  EXPECT_EQ(s.outcome(2).firstStart, 1500);
+  EXPECT_EQ(s.outcome(3).firstStart, 1600);
 }
 
 TEST(SjfBackfill, NameReflectsOrder) {
@@ -107,11 +107,12 @@ TEST(Migration, AllInvariantsHoldUnderMigration) {
                     static_cast<std::uint32_t>(1 + (i % 8))});
   const auto trace = makeTrace(8, jobs);
   sim::Simulator s(trace, policy);
+  const test::FinishedExecLog finished(s);
   s.run();
   s.auditState();
   for (JobId i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(s.state(i), sim::JobState::Finished);
-    EXPECT_EQ(s.exec(i).remainingWork, 0);
+    EXPECT_EQ(finished[i].remainingWork, 0);
   }
 }
 
@@ -145,7 +146,7 @@ TEST(OnlineTss, NoProtectionBeforeMinSamples) {
   const auto trace = makeTrace(4, {{0, 36000, 4}, {10, 60, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
 }
 
 TEST(OnlineTss, ConvergesToFewerSuspensionsThanPlainSs) {

@@ -16,9 +16,9 @@ TEST(Fcfs, RunsJobsInOrder) {
   const auto trace = makeTrace(4, {{0, 100, 4}, {1, 10, 4}, {2, 10, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).firstStart, 0);
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(2).firstStart, 110);
+  EXPECT_EQ(s.outcome(0).firstStart, 0);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 110);
 }
 
 TEST(Fcfs, HeadOfLineBlocksSmallerJobs) {
@@ -30,8 +30,8 @@ TEST(Fcfs, HeadOfLineBlocksSmallerJobs) {
   s.run();
   // Job 2 (1 proc) could have run at t=2 next to job 0 (3 procs), but FCFS
   // holds it behind the 4-proc job 1.
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(2).firstStart, 200);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(2).firstStart, 200);
 }
 
 TEST(Fcfs, ConcurrentJobsSharemachine) {
@@ -39,8 +39,8 @@ TEST(Fcfs, ConcurrentJobsSharemachine) {
   const auto trace = makeTrace(8, {{0, 100, 4}, {0, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).firstStart, 0);
-  EXPECT_EQ(s.exec(1).firstStart, 0);
+  EXPECT_EQ(s.outcome(0).firstStart, 0);
+  EXPECT_EQ(s.outcome(1).firstStart, 0);
 }
 
 TEST(Fcfs, DrainsLongQueue) {
@@ -53,7 +53,7 @@ TEST(Fcfs, DrainsLongQueue) {
   s.run();
   // Strictly serial: each starts when the previous finishes.
   for (JobId i = 1; i < 50; ++i)
-    EXPECT_EQ(s.exec(i).firstStart, s.exec(i - 1).finish);
+    EXPECT_EQ(s.outcome(i).firstStart, s.outcome(i - 1).finish);
 }
 
 TEST(Fcfs, NoSuspensionsEver) {

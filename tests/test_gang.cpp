@@ -39,8 +39,8 @@ TEST(Gang, SingleJobRunsWithoutSlicing) {
   const auto trace = makeTrace(8, {{0, 5000, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 5000);
-  EXPECT_EQ(s.exec(0).suspendCount, 0u);
+  EXPECT_EQ(s.outcome(0).finish, 5000);
+  EXPECT_EQ(s.outcome(0).suspendCount, 0u);
   EXPECT_EQ(policy.switches(), 0u);
 }
 
@@ -50,8 +50,8 @@ TEST(Gang, CoResidentJobsShareOneSlot) {
   const auto trace = makeTrace(8, {{0, 5000, 4}, {10, 5000, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 5000);
-  EXPECT_EQ(s.exec(1).finish, 5010);
+  EXPECT_EQ(s.outcome(0).finish, 5000);
+  EXPECT_EQ(s.outcome(1).finish, 5010);
   EXPECT_EQ(s.totalSuspensions(), 0u);
 }
 
@@ -65,17 +65,18 @@ TEST(Gang, ConflictingJobsTimeSlice) {
   EXPECT_GT(policy.switches(), 5u);
   EXPECT_GE(s.totalSuspensions(), 5u);
   // Both finish near 2 x 3600 (within one quantum of slack).
-  EXPECT_NEAR(static_cast<double>(s.exec(0).finish), 7200.0, 601.0);
-  EXPECT_NEAR(static_cast<double>(s.exec(1).finish), 7200.0, 601.0);
+  EXPECT_NEAR(static_cast<double>(s.outcome(0).finish), 7200.0, 601.0);
+  EXPECT_NEAR(static_cast<double>(s.outcome(1).finish), 7200.0, 601.0);
 }
 
 TEST(Gang, SlicedJobResumesOnSameProcessors) {
   GangScheduler policy(cfg(600));
   const auto trace = makeTrace(8, {{0, 3600, 8}, {0, 3600, 8}});
   sim::Simulator s(trace, policy);
+  const test::FinishedExecLog finished(s);
   s.run();
-  EXPECT_EQ(s.exec(0).procs, sim::ProcSet::firstN(8));
-  EXPECT_EQ(s.exec(1).procs, sim::ProcSet::firstN(8));
+  EXPECT_EQ(finished[0].procs, sim::ProcSet::firstN(8));
+  EXPECT_EQ(finished[1].procs, sim::ProcSet::firstN(8));
 }
 
 TEST(Gang, ShortJobGetsServiceDespiteLongRunner) {
@@ -85,7 +86,7 @@ TEST(Gang, ShortJobGetsServiceDespiteLongRunner) {
   const auto trace = makeTrace(8, {{0, 36000, 8}, {100, 300, 8}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_LE(s.exec(1).firstStart, 700);
+  EXPECT_LE(s.outcome(1).firstStart, 700);
   EXPECT_EQ(s.state(1), sim::JobState::Finished);
 }
 
@@ -99,7 +100,7 @@ TEST(Gang, MatrixOverflowQueuesFifo) {
   s.run();
   // Job 2 cannot start until job 0 or 1 completes (~2400 s wall-clock
   // because the first two share the machine).
-  EXPECT_GE(s.exec(2).firstStart, 1200);
+  EXPECT_GE(s.outcome(2).firstStart, 1200);
   EXPECT_EQ(s.state(2), sim::JobState::Finished);
 }
 
@@ -112,7 +113,7 @@ TEST(Gang, RuntimeDilationScalesWithSlots) {
   s.run();
   Time lastFinish = 0;
   for (JobId i = 0; i < 3; ++i)
-    lastFinish = std::max(lastFinish, s.exec(i).finish);
+    lastFinish = std::max(lastFinish, s.outcome(i).finish);
   EXPECT_NEAR(static_cast<double>(lastFinish), 7200.0, 601.0);
 }
 
@@ -127,8 +128,8 @@ TEST(Gang, NewArrivalJoinsRowWithRoom) {
   EXPECT_EQ(policy.slotCount(), 0u);  // matrix empty at the end
   // Jobs 1 and 2 shared a row: they ran simultaneously at least once —
   // their finishes are within a quantum of each other.
-  EXPECT_NEAR(static_cast<double>(s.exec(1).finish),
-              static_cast<double>(s.exec(2).finish), 700.0);
+  EXPECT_NEAR(static_cast<double>(s.outcome(1).finish),
+              static_cast<double>(s.outcome(2).finish), 700.0);
 }
 
 TEST(Gang, WithOverheadSwitchesPayTheSweep) {
@@ -140,8 +141,8 @@ TEST(Gang, WithOverheadSwitchesPayTheSweep) {
   sim::Simulator s(trace, policy, config);
   s.run();
   // Every switch costs a write-out + read-back on top of the compute.
-  EXPECT_GT(s.exec(0).overheadTotal() + s.exec(1).overheadTotal(), 0);
-  EXPECT_GE(std::max(s.exec(0).finish, s.exec(1).finish), 3600 + 60);
+  EXPECT_GT(s.outcome(0).overheadTotal() + s.outcome(1).overheadTotal(), 0);
+  EXPECT_GE(std::max(s.outcome(0).finish, s.outcome(1).finish), 3600 + 60);
   for (JobId i = 0; i < 2; ++i)
     EXPECT_EQ(s.state(i), sim::JobState::Finished);
 }
@@ -172,7 +173,7 @@ TEST(Gang, QuantumNotPostponedByArrivals) {
   s.run();
   EXPECT_GE(policy.switches(), 10u);
   // Job 1 (second wide job) must have computed long before job 0 finished.
-  EXPECT_GE(s.exec(1).suspendCount, 1u);
+  EXPECT_GE(s.outcome(1).suspendCount, 1u);
 }
 
 }  // namespace

@@ -57,9 +57,9 @@ Schedule runSchedule(const workload::Trace& trace,
       });
   simulator.run();
   for (JobId id = 0; id < trace.jobs.size(); ++id) {
-    schedule.firstStart.push_back(simulator.exec(id).firstStart);
-    schedule.finish.push_back(simulator.exec(id).finish);
-    schedule.suspendCount.push_back(simulator.exec(id).suspendCount);
+    schedule.firstStart.push_back(simulator.outcome(id).firstStart);
+    schedule.finish.push_back(simulator.outcome(id).finish);
+    schedule.suspendCount.push_back(simulator.outcome(id).suspendCount);
   }
   return schedule;
 }

@@ -16,8 +16,8 @@ TEST(IS, ArrivingJobStartsImmediatelyOnFreeProcs) {
   const auto trace = makeTrace(8, {{0, 100, 4}, {10, 100, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).firstStart, 0);
-  EXPECT_EQ(s.exec(1).firstStart, 10);
+  EXPECT_EQ(s.outcome(0).firstStart, 0);
+  EXPECT_EQ(s.outcome(1).firstStart, 10);
 }
 
 TEST(IS, ArrivalPreemptsToGetItsTimeslice) {
@@ -27,8 +27,8 @@ TEST(IS, ArrivalPreemptsToGetItsTimeslice) {
   const auto trace = makeTrace(4, {{0, 7200, 4}, {1000, 60, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 1000);  // immediate service
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
+  EXPECT_EQ(s.outcome(1).firstStart, 1000);  // immediate service
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
 }
 
@@ -40,8 +40,8 @@ TEST(IS, VictimInFirstQuantumIsProtected) {
   const auto trace = makeTrace(4, {{0, 800, 4}, {60, 50, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(1).firstStart, 600);   // not a second earlier
-  EXPECT_EQ(s.exec(0).suspendCount, 1u);  // exactly the quantum suspension
+  EXPECT_EQ(s.outcome(1).firstStart, 600);   // not a second earlier
+  EXPECT_EQ(s.outcome(0).suspendCount, 1u);  // exactly the quantum suspension
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
 }
 
@@ -61,7 +61,7 @@ TEST(IS, VictimChosenByLowestInstantaneousXfactor) {
   // until... nothing frees; B gets immediate service by suspending A once
   // A's quantum passed (retry loop). So the timeline self-organizes; the
   // key assertions are conservation and that the short job got service.
-  EXPECT_EQ(s.exec(2).firstStart, 12000);
+  EXPECT_EQ(s.outcome(2).firstStart, 12000);
   for (JobId i = 0; i < 3; ++i)
     EXPECT_EQ(s.state(i), sim::JobState::Finished);
 }
@@ -73,9 +73,9 @@ TEST(IS, QuantumExpirySuspendsUnderContention) {
   const auto trace = makeTrace(4, {{0, 7200, 4}, {5, 7200, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
   // Job 1 got the machine shortly after job 0's quantum.
-  EXPECT_LE(s.exec(1).firstStart, 700);
+  EXPECT_LE(s.outcome(1).firstStart, 700);
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
   EXPECT_EQ(s.state(1), sim::JobState::Finished);
 }
@@ -85,8 +85,8 @@ TEST(IS, NoContentionMeansNoQuantumSuspension) {
   const auto trace = makeTrace(4, {{0, 7200, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).suspendCount, 0u);
-  EXPECT_EQ(s.exec(0).finish, 7200);
+  EXPECT_EQ(s.outcome(0).suspendCount, 0u);
+  EXPECT_EQ(s.outcome(0).finish, 7200);
 }
 
 TEST(IS, ShortJobNeverSuspendedByQuantum) {
@@ -95,8 +95,8 @@ TEST(IS, ShortJobNeverSuspendedByQuantum) {
   const auto trace = makeTrace(4, {{0, 300, 4}, {10, 300, 4}, {20, 300, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).suspendCount, 0u);
-  EXPECT_EQ(s.exec(0).finish, 300);
+  EXPECT_EQ(s.outcome(0).suspendCount, 0u);
+  EXPECT_EQ(s.outcome(0).finish, 300);
 }
 
 TEST(IS, WideJobEventuallyServedViaRetry) {
@@ -108,15 +108,16 @@ TEST(IS, WideJobEventuallyServedViaRetry) {
   s.run();
   EXPECT_EQ(s.state(1), sim::JobState::Finished);
   // Served within ~ a quantum of its arrival, not after job 0's 4000 s.
-  EXPECT_LT(s.exec(1).firstStart, 1500);
+  EXPECT_LT(s.outcome(1).firstStart, 1500);
 }
 
 TEST(IS, SuspendedJobResumesOnItsProcessors) {
   ImmediateService policy;
   const auto trace = makeTrace(4, {{0, 7200, 4}, {1000, 60, 4}});
   sim::Simulator s(trace, policy);
+  const test::FinishedExecLog finished(s);
   s.run();
-  EXPECT_EQ(s.exec(0).procs, sim::ProcSet::firstN(4));
+  EXPECT_EQ(finished[0].procs, sim::ProcSet::firstN(4));
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
 }
 
@@ -127,7 +128,7 @@ TEST(IS, CustomQuantumRespected) {
   const auto trace = makeTrace(4, {{0, 7200, 4}, {5, 7200, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_LE(s.exec(1).firstStart, 150);  // preempted at the 100 s quantum
+  EXPECT_LE(s.outcome(1).firstStart, 150);  // preempted at the 100 s quantum
 }
 
 TEST(IS, ZeroQuantumRejected) {

@@ -55,7 +55,7 @@ class IndexProbe final : public sim::SchedulingPolicy {
     std::sort(running.begin(), running.end());
     running.erase(std::remove_if(running.begin(), running.end(),
                                  [&s](JobId id) {
-                                   return s.exec(id).suspendCount >= 3;
+                                   return s.outcome(id).suspendCount >= 3;
                                  }),
                   running.end());
     if (!running.empty() && rng_.uniform01() < 0.7) {

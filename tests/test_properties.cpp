@@ -67,20 +67,22 @@ TEST_P(SchedulerProperty, InvariantsHoldOverRandomWorkload) {
   if (param.overhead) config.overhead = &overhead;
 
   sim::Simulator s(trace, *policy, config);
+  const test::FinishedExecLog finished(s);
   s.run();
   s.auditState();
 
   double work = 0.0;
   for (const workload::Job& j : trace.jobs) {
-    const auto& x = s.exec(j.id);
+    const auto& x = s.outcome(j.id);
     // Every job finishes, after doing all its work.
     EXPECT_EQ(s.state(j.id), sim::JobState::Finished);
-    EXPECT_EQ(x.remainingWork, 0);
+    EXPECT_EQ(finished[j.id].remainingWork, 0);
     EXPECT_GE(x.firstStart, j.submit);
     EXPECT_GE(x.finish, x.firstStart + j.runtime);
     // Wait accounting: turnaround = runtime + wait + elapsed read-back
     // (drain write-outs overlap with waiting and are inside `wait`).
-    EXPECT_EQ(s.accumulatedWait(j.id) + j.runtime + x.resumeOverheadElapsed,
+    EXPECT_EQ(finished[j.id].accumulatedWait + j.runtime +
+                  x.resumeOverheadElapsed,
               x.finish - j.submit);
     // Non-preemptive policies must not suspend.
     if (param.kind == PolicyKind::Fcfs ||

@@ -259,8 +259,8 @@ TEST(Regression, ConservativeSameInstantCompletionCascade) {
       16, {{0, 100, 8, 100}, {0, 100, 8, 100}, {1, 50, 16}, {2, 50, 16}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 100);
-  EXPECT_EQ(s.exec(3).firstStart, 150);
+  EXPECT_EQ(s.outcome(2).firstStart, 100);
+  EXPECT_EQ(s.outcome(3).firstStart, 150);
 }
 
 TEST(Regression, ConservativeLargeTraceNoOversubscription) {
@@ -314,7 +314,7 @@ TEST(Regression, SuspendDuringReadBackChargesElapsedOnly) {
       s.resumeJob(0);
     } else if (tag == 2) {
       s.suspendJob(0);
-      EXPECT_EQ(s.exec(0).resumeOverheadElapsed, 20);
+      EXPECT_EQ(s.outcome(0).resumeOverheadElapsed, 20);
       EXPECT_EQ(s.exec(0).remainingWork, 70);  // no work during read-back
     } else {
       s.resumeJob(0);
@@ -323,13 +323,15 @@ TEST(Regression, SuspendDuringReadBackChargesElapsedOnly) {
   sim::Simulator::Config config;
   config.overhead = &overhead;
   sim::Simulator s(trace, policy, config);
+  const test::FinishedExecLog finished(s);
   s.run();
-  const auto& x = s.exec(0);
+  const auto& x = s.outcome(0);
   // Timeline: work 0-30 (30), read-back 30-50 (interrupted at 20 s),
   // suspended 50-60, read-back 60-110, work 110-180.
   EXPECT_EQ(x.finish, 180);
   EXPECT_EQ(x.resumeOverheadElapsed, 70);  // 20 partial + 50 full
-  EXPECT_EQ(s.accumulatedWait(0) + 100 + x.resumeOverheadElapsed, x.finish);
+  EXPECT_EQ(finished[0].accumulatedWait + 100 + x.resumeOverheadElapsed,
+            x.finish);
 }
 
 }  // namespace

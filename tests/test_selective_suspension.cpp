@@ -55,12 +55,12 @@ TEST(SS, ShortJobPreemptsLongJob) {
   const auto trace = makeTrace(4, {{0, 36000, 4}, {10, 60, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
   // Short job's xfactor reaches 2 after waiting 60 s; the next 60 s tick
   // fires the preemption. It must finish LONG before the long job's end.
-  EXPECT_LT(s.exec(1).finish, 1000);
+  EXPECT_LT(s.outcome(1).finish, 1000);
   // The long job still completes (reclaiming its processors).
-  EXPECT_GE(s.exec(0).finish, 36000);
+  EXPECT_GE(s.outcome(0).finish, 36000);
 }
 
 TEST(SS, PreemptionRequiresPriorityRatio) {
@@ -71,8 +71,8 @@ TEST(SS, PreemptionRequiresPriorityRatio) {
   const auto trace = makeTrace(4, {{0, 1000, 4}, {10, 900, 4, 3600}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).suspendCount, 0u);
-  EXPECT_EQ(s.exec(1).firstStart, 1000);
+  EXPECT_EQ(s.outcome(0).suspendCount, 0u);
+  EXPECT_EQ(s.outcome(1).firstStart, 1000);
 }
 
 TEST(SS, SuspendedJobResumesOnSameProcessors) {
@@ -80,8 +80,9 @@ TEST(SS, SuspendedJobResumesOnSameProcessors) {
   const auto trace = makeTrace(4, {{0, 36000, 4}, {10, 60, 4}});
   sim::Simulator s(trace, policy);
   // Track the victim's processors across suspension.
+  const test::FinishedExecLog finished(s);
   s.run();
-  EXPECT_EQ(s.exec(0).procs.count(), 4u);  // final set recorded
+  EXPECT_EQ(finished[0].procs.count(), 4u);  // final set recorded
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
 }
 
@@ -92,8 +93,8 @@ TEST(SS, HalfWidthRuleBlocksNarrowPreemptor) {
   const auto trace = makeTrace(4, {{0, 3000, 4}, {10, 30, 1}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).suspendCount, 0u);
-  EXPECT_GE(s.exec(1).firstStart, 3000);
+  EXPECT_EQ(s.outcome(0).suspendCount, 0u);
+  EXPECT_GE(s.outcome(1).firstStart, 3000);
 }
 
 TEST(SS, HalfWidthRuleAllowsHalfWidePreemptor) {
@@ -102,8 +103,8 @@ TEST(SS, HalfWidthRuleAllowsHalfWidePreemptor) {
   const auto trace = makeTrace(4, {{0, 36000, 4}, {10, 30, 2}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
-  EXPECT_LT(s.exec(1).finish, 2000);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
+  EXPECT_LT(s.outcome(1).finish, 2000);
 }
 
 TEST(SS, HalfWidthRuleCanBeDisabled) {
@@ -113,8 +114,8 @@ TEST(SS, HalfWidthRuleCanBeDisabled) {
   const auto trace = makeTrace(4, {{0, 36000, 4}, {10, 30, 1}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
-  EXPECT_LT(s.exec(1).finish, 2000);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
+  EXPECT_LT(s.outcome(1).finish, 2000);
 }
 
 TEST(SS, BackfillsPastBlockedHighPriorityJob) {
@@ -124,7 +125,7 @@ TEST(SS, BackfillsPastBlockedHighPriorityJob) {
   const auto trace = makeTrace(8, {{0, 600, 6}, {10, 600, 8}, {20, 60, 2}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(2).firstStart, 20);  // started beside job0
+  EXPECT_EQ(s.outcome(2).firstStart, 20);  // started beside job0
 }
 
 TEST(SS, TssLimitProtectsVictim) {
@@ -138,8 +139,8 @@ TEST(SS, TssLimitProtectsVictim) {
   const auto trace = makeTrace(4, {{0, 2000, 4}, {10, 30, 4}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).suspendCount, 0u);
-  EXPECT_GE(s.exec(1).firstStart, 2000);
+  EXPECT_EQ(s.outcome(0).suspendCount, 0u);
+  EXPECT_GE(s.outcome(1).firstStart, 2000);
 }
 
 TEST(SS, TssHighLimitBehavesLikePlainSS) {
@@ -153,7 +154,7 @@ TEST(SS, TssHighLimitBehavesLikePlainSS) {
   a.run();
   sim::Simulator b(trace, plain);
   b.run();
-  EXPECT_EQ(a.exec(1).finish, b.exec(1).finish);
+  EXPECT_EQ(a.outcome(1).finish, b.outcome(1).finish);
   EXPECT_EQ(a.totalSuspensions(), b.totalSuspensions());
 }
 
@@ -175,9 +176,9 @@ TEST(SS, WidestVictimsChosenFirst) {
       8, {{0, 36000, 4}, {0, 36000, 1}, {0, 36000, 1}, {10, 60, 6}});
   sim::Simulator s(trace, policy);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
-  EXPECT_EQ(s.exec(1).suspendCount, 0u);
-  EXPECT_EQ(s.exec(2).suspendCount, 0u);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
+  EXPECT_EQ(s.outcome(1).suspendCount, 0u);
+  EXPECT_EQ(s.outcome(2).suspendCount, 0u);
 }
 
 // --- The two-task analysis of Section IV-A ----------------------------------
@@ -250,7 +251,7 @@ TEST(SSReentry, SuspendedJobPreemptsOccupantOfItsProcessors) {
   sim::Simulator s(trace, policy);
   s.run();
   EXPECT_EQ(s.state(0), sim::JobState::Finished);
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
   // If A reentered by preempting C, C was suspended at least once.
   // (A could also simply wait for C to finish; accept either, but the sum
   // of completions must conserve work.)
@@ -261,10 +262,11 @@ TEST(SSReentry, ExactProcessorSetReclaimed) {
   SelectiveSuspension policy(ssConfig(2.0));
   const auto trace = makeTrace(8, {{0, 36000, 4}, {10, 60, 4}});
   sim::Simulator s(trace, policy);
+  const test::FinishedExecLog finished(s);
   s.run();
-  // Victim held processors {0-3}; after resume and completion its recorded
-  // set must still be {0-3}.
-  EXPECT_EQ(s.exec(0).procs, sim::ProcSet::firstN(4));
+  // Victim held processors {0-3}; after resume, at its completion its set
+  // must still be {0-3}.
+  EXPECT_EQ(finished[0].procs, sim::ProcSet::firstN(4));
 }
 
 // --- Claims under an overhead model ------------------------------------------
@@ -277,12 +279,12 @@ TEST(SSOverhead, PreemptorWaitsForDrainThenStarts) {
   config.overhead = &overhead;
   sim::Simulator s(trace, policy, config);
   s.run();
-  EXPECT_GE(s.exec(0).suspendCount, 1u);
+  EXPECT_GE(s.outcome(0).suspendCount, 1u);
   // The short job ran after the 30 s write-out of the victim.
-  EXPECT_GT(s.exec(1).firstStart, s.job(1).submit);
+  EXPECT_GT(s.outcome(1).firstStart, s.job(1).submit);
   EXPECT_EQ(s.state(1), sim::JobState::Finished);
   // Victim paid write-out + read-back.
-  EXPECT_GE(s.exec(0).overheadTotal(), 60);
+  EXPECT_GE(s.outcome(0).overheadTotal(), 60);
 }
 
 TEST(SSOverhead, EverythingFinishesUnderHeavyPreemption) {

@@ -64,7 +64,7 @@ TEST(SteppableCore, StepDispatchesOneEventAndReportsNext) {
   EXPECT_FALSE(s.drained());  // drained only after an explicit drain()
   s.drain();
   EXPECT_TRUE(s.drained());
-  EXPECT_EQ(s.exec(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
 }
 
 TEST(SteppableCore, RunUntilPausesAtHorizonAndResumes) {
@@ -80,7 +80,7 @@ TEST(SteppableCore, RunUntilPausesAtHorizonAndResumes) {
   EXPECT_EQ(s.state(2), sim::JobState::Queued);
   s.drain();
   EXPECT_TRUE(s.drained());
-  EXPECT_EQ(s.exec(2).finish, 300);
+  EXPECT_EQ(s.outcome(2).finish, 300);
   EXPECT_EQ(s.lastFinish(), 300);
 }
 
@@ -94,8 +94,8 @@ TEST(SteppableCore, RunIsRunUntilPlusDrain) {
   pieces.runUntil(kTimeMax);
   pieces.drain();
   for (JobId id = 0; id < trace.jobs.size(); ++id) {
-    EXPECT_EQ(whole.exec(id).firstStart, pieces.exec(id).firstStart);
-    EXPECT_EQ(whole.exec(id).finish, pieces.exec(id).finish);
+    EXPECT_EQ(whole.outcome(id).firstStart, pieces.outcome(id).firstStart);
+    EXPECT_EQ(whole.outcome(id).finish, pieces.outcome(id).finish);
   }
 }
 
@@ -114,8 +114,8 @@ TEST(Ingest, SubmitAtExactStepBoundaryMatchesBatchOrder) {
   EXPECT_EQ(s.state(0), sim::JobState::Running);
   s.submit(job(100, 50, 4));
   s.drain();
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(1).finish, 150);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).finish, 150);
 }
 
 TEST(Ingest, OutOfOrderSubmitRejectedWithoutStateChange) {
@@ -160,8 +160,8 @@ TEST(Ingest, CancelQueuedJobReleasesItBeforeStart) {
   s.drain();
   checker.finalize(s);
   // FCFS head removal unblocked job 2 into the slot job 1 vacated.
-  EXPECT_EQ(s.exec(1).firstStart, kNoTime);
-  EXPECT_EQ(s.exec(2).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, kNoTime);
+  EXPECT_EQ(s.outcome(2).firstStart, 100);
 }
 
 TEST(Ingest, CancelRunningJobRejected) {

@@ -28,7 +28,7 @@ TEST(Simulator, SingleJobRunsToCompletion) {
   ScriptedPolicy policy;
   Simulator s(trace, policy);
   s.run();
-  const JobExec& x = s.exec(0);
+  const JobOutcome& x = s.outcome(0);
   EXPECT_EQ(s.state(0), JobState::Finished);
   EXPECT_EQ(x.firstStart, 0);
   EXPECT_EQ(x.finish, 100);
@@ -42,9 +42,9 @@ TEST(Simulator, QueuedJobWaitsForProcessors) {
   ScriptedPolicy policy;
   Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 100);
-  EXPECT_EQ(s.exec(1).firstStart, 100);
-  EXPECT_EQ(s.exec(1).finish, 150);
+  EXPECT_EQ(s.outcome(0).finish, 100);
+  EXPECT_EQ(s.outcome(1).firstStart, 100);
+  EXPECT_EQ(s.outcome(1).finish, 150);
 }
 
 TEST(Simulator, AccumulatedWaitFrozenWhileRunning) {
@@ -57,9 +57,10 @@ TEST(Simulator, AccumulatedWaitFrozenWhileRunning) {
       waitAtStart = s.accumulatedWait(1);
   };
   Simulator s(trace, policy);
+  const test::FinishedExecLog finished(s);
   s.run();
-  EXPECT_EQ(waitAtStart, 90);          // waited 10..100
-  EXPECT_EQ(s.accumulatedWait(1), 90); // still frozen at completion
+  EXPECT_EQ(waitAtStart, 90);                   // waited 10..100
+  EXPECT_EQ(finished[1].accumulatedWait, 90);   // still frozen at completion
 }
 
 TEST(Simulator, XfactorUsesEstimate) {
@@ -92,8 +93,8 @@ TEST(Simulator, SuspensionSplitsWork) {
   };
   Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).suspendCount, 1u);
-  EXPECT_EQ(s.exec(0).finish, 300);  // no overhead: zero net delay
+  EXPECT_EQ(s.outcome(0).suspendCount, 1u);
+  EXPECT_EQ(s.outcome(0).finish, 300);  // no overhead: zero net delay
   EXPECT_EQ(s.totalSuspensions(), 1u);
 }
 
@@ -116,7 +117,7 @@ TEST(Simulator, SuspendedJobKeepsSavedProcs) {
   };
   Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 100);
+  EXPECT_EQ(s.outcome(0).finish, 100);
 }
 
 TEST(Simulator, StaleCompletionIgnoredAfterSuspension) {
@@ -136,8 +137,8 @@ TEST(Simulator, StaleCompletionIgnoredAfterSuspension) {
   };
   Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 130);
-  EXPECT_EQ(s.exec(0).suspendCount, 1u);
+  EXPECT_EQ(s.outcome(0).finish, 130);
+  EXPECT_EQ(s.outcome(0).suspendCount, 1u);
 }
 
 TEST(Simulator, AccumulatedRunTracksSegments) {
@@ -162,7 +163,7 @@ TEST(Simulator, AccumulatedRunTracksSegments) {
   };
   Simulator s(trace, policy);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 130);
+  EXPECT_EQ(s.outcome(0).finish, 130);
 }
 
 TEST(Simulator, InstantaneousXfactorInfiniteBeforeFirstRun) {
@@ -323,8 +324,8 @@ TEST(SimulatorOverhead, SuspendHoldsProcsDuringDrain) {
   EXPECT_TRUE(drainChecked);
   // Timeline: run 0-50 (50 of work), drain 50-70, resume read-back 70-100,
   // remaining 50 of work 100-150.
-  EXPECT_EQ(s.exec(0).finish, 150);
-  EXPECT_EQ(s.exec(0).overheadTotal(), 50);
+  EXPECT_EQ(s.outcome(0).finish, 150);
+  EXPECT_EQ(s.outcome(0).overheadTotal(), 50);
 }
 
 TEST(SimulatorOverhead, ResumeOverheadDoesNoWork) {
@@ -349,7 +350,7 @@ TEST(SimulatorOverhead, ResumeOverheadDoesNoWork) {
   config.overhead = &overhead;
   Simulator s(trace, policy, config);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 140);  // 100 work + 40 read-back
+  EXPECT_EQ(s.outcome(0).finish, 140);  // 100 work + 40 read-back
 }
 
 TEST(SimulatorOverhead, FirstStartHasNoResumeOverhead) {
@@ -360,8 +361,8 @@ TEST(SimulatorOverhead, FirstStartHasNoResumeOverhead) {
   config.overhead = &overhead;
   Simulator s(trace, policy, config);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 100);  // never suspended: no overhead at all
-  EXPECT_EQ(s.exec(0).overheadTotal(), 0);
+  EXPECT_EQ(s.outcome(0).finish, 100);  // never suspended: no overhead at all
+  EXPECT_EQ(s.outcome(0).overheadTotal(), 0);
 }
 
 TEST(SimulatorOverhead, WaitAccruesDuringDrainAndSuspension) {
@@ -381,7 +382,7 @@ TEST(SimulatorOverhead, WaitAccruesDuringDrainAndSuspension) {
   config.overhead = &overhead;
   Simulator s(trace, policy, config);
   s.run();
-  EXPECT_EQ(s.exec(0).finish, 120);
+  EXPECT_EQ(s.outcome(0).finish, 120);
 }
 
 
@@ -470,7 +471,7 @@ TEST(SimulatorArrivalCursor, NotArrivedCancelStillDispatchesOneArrival) {
                       Dispatch(5, EventType::JobArrival, 1)),
             batchSeen.end());
   EXPECT_EQ(batch.state(1), JobState::Cancelled);
-  EXPECT_EQ(batch.exec(1).firstStart, kNoTime);
+  EXPECT_EQ(batch.outcome(1).firstStart, kNoTime);
 }
 
 TEST(SimulatorArrivalCursor, NextEventTimeMergesCursorAndQueue) {
@@ -540,6 +541,128 @@ TEST(SimulatorArrivalCursor, LongSdscEasyTraceStreamsBitIdentically) {
   EXPECT_EQ(streamed.eventsProcessed, batch.eventsProcessed);
   EXPECT_EQ(streamed.eventsProcessed, 2 * trace.jobs.size());
   EXPECT_EQ(metrics::openMetrics(streamed), metrics::openMetrics(batch));
+}
+
+// --- live-job slab -----------------------------------------------------------
+
+TEST(SimulatorLiveSlab, CancelledSuspendedJobSlotReuseIgnoresStaleCompletion) {
+  // Job 0 starts at 0 (completion queued for t=100, generation 0), is
+  // suspended at 10 and cancelled while that completion is still queued.
+  // Job 1 arrives and starts at 20, taking job 0's freed slot with a fresh
+  // generation 0 of its own: the stale event must not complete anything.
+  const auto trace = makeTrace(4, {{0, 100, 4}, {20, 200, 4}});
+  ScriptedPolicy policy;
+  policy.cancellable = true;
+  policy.arrival = [](Simulator& s, JobId j) {
+    s.startJob(j);
+    if (j == 0) s.scheduleTimer(10, 0);
+  };
+  policy.timer = [](Simulator& s, std::uint64_t) { s.suspendJob(0); };
+  policy.completion = [](Simulator&, JobId) {};
+  Simulator s(trace, policy);
+  std::vector<JobId> finished;
+  s.observers().onStateChange(
+      [&](const Simulator&, JobId id, JobState, JobState to) {
+        if (to == JobState::Finished) finished.push_back(id);
+      });
+  s.runUntil(10);
+  ASSERT_EQ(s.state(0), JobState::Suspended);
+  ASSERT_TRUE(s.cancelJob(0));
+  EXPECT_THROW((void)s.exec(0), InvariantError);  // slot given back
+  s.runUntil(20);
+  ASSERT_EQ(s.state(1), JobState::Running);
+  EXPECT_EQ(s.liveSlots(), 1u);  // job 1 reused job 0's slot
+  EXPECT_EQ(s.exec(1).completionGen, 0u);
+  s.auditState();
+  s.run();
+  EXPECT_EQ(s.state(0), JobState::Cancelled);
+  EXPECT_EQ(s.state(1), JobState::Finished);
+  EXPECT_EQ(finished, std::vector<JobId>{1});
+  EXPECT_EQ(s.outcome(1).firstStart, 20);
+  EXPECT_EQ(s.outcome(1).finish, 220);  // on time, not at job 0's t=100
+  EXPECT_EQ(s.outcome(0).finish, kNoTime);
+  EXPECT_EQ(s.outcome(0).suspendCount, 1u);
+  // Arrival 0, timer, arrival 1, job 0's stale completion, job 1's.
+  EXPECT_EQ(s.eventsProcessed(), 5u);
+  s.auditState();
+}
+
+TEST(SimulatorLiveSlab, ExecOnlyForLiveJobs) {
+  const auto trace = makeTrace(4, {{0, 10, 4}, {100, 10, 4}, {100, 10, 4}});
+  ScriptedPolicy policy;
+  Simulator s(trace, policy);
+  bool readInFinishCallback = false;
+  s.observers().onStateChange(
+      [&](const Simulator& sim, JobId id, JobState, JobState to) {
+        // The terminal transition's callbacks still see the live state.
+        if (to == JobState::Finished && id == 0)
+          readInFinishCallback = sim.exec(0).remainingWork == 0;
+      });
+  EXPECT_THROW((void)s.exec(0), InvariantError);  // NotArrived
+  s.runUntil(50);
+  EXPECT_TRUE(readInFinishCallback);
+  ASSERT_EQ(s.state(0), JobState::Finished);
+  ASSERT_EQ(s.state(1), JobState::NotArrived);
+  EXPECT_THROW((void)s.exec(0), InvariantError);  // Finished
+  EXPECT_THROW((void)s.exec(1), InvariantError);  // NotArrived
+  EXPECT_THROW((void)s.accumulatedWait(0), InvariantError);
+  EXPECT_EQ(s.outcome(0).finish, 10);             // outcome stays readable
+  EXPECT_EQ(s.outcome(1).firstStart, kNoTime);
+  s.runUntil(100);
+  ASSERT_EQ(s.state(1), JobState::Running);
+  ASSERT_EQ(s.state(2), JobState::Queued);
+  EXPECT_EQ(s.exec(1).segStart, 100);
+  EXPECT_THROW((void)s.exec(2), InvariantError);  // Queued: not started
+  EXPECT_EQ(s.accumulatedWait(2), 0);             // read from its trace row
+  EXPECT_EQ(s.accumulatedRun(2), 0);
+  s.run();
+  EXPECT_THROW((void)s.exec(1), InvariantError);
+  EXPECT_EQ(s.outcome(1).finish, 110);
+  EXPECT_EQ(s.outcome(2).firstStart, 110);
+}
+
+TEST(SimulatorLiveSlab, SlabSizedByPeakLiveJobs) {
+  // 20k SDSC jobs at load 0.95: the slab grows to the peak number of jobs
+  // live at once (started, not yet done), never to the trace length, and
+  // auditState() walks that slab and the queue — cheap enough to run at
+  // every event.
+  auto config = workload::sdscConfig(20'000, 5);
+  config.offeredLoad = 0.95;
+  const workload::Trace trace = workload::generateTrace(config);
+  core::PolicySpec spec;
+  spec.kind = core::PolicyKind::Easy;
+  const auto policy = core::makePolicy(spec);
+  Simulator s(trace, *policy);
+  // Jobs holding a slot: from the first start until after the callbacks of
+  // the terminal transition, so a job started from a completion callback
+  // is counted beside the one completing.
+  std::size_t live = 0;
+  std::size_t releasing = 0;
+  std::size_t peak = 0;
+  s.observers().onStateChange(
+      [&](const Simulator&, JobId, JobState from, JobState to) {
+        if (from == JobState::Queued && to == JobState::Running)
+          peak = std::max(peak, ++live);
+        if (to == JobState::Finished ||
+            (to == JobState::Cancelled && from == JobState::Suspended))
+          ++releasing;
+      });
+  std::uint64_t audits = 0;
+  s.observers().onEventDispatched([&](const Simulator& sim, const Event&) {
+    live -= releasing;
+    releasing = 0;
+    sim.auditState();
+    ++audits;
+  });
+  s.run();
+  EXPECT_EQ(live, releasing);
+  EXPECT_EQ(audits, s.eventsProcessed());
+  EXPECT_EQ(s.liveSlots(), peak);
+  EXPECT_GT(peak, 1u);
+  // EASY never suspends: every running job holds at least one processor,
+  // and at most one more is completing.
+  EXPECT_LE(peak, trace.machineProcs + 1u);
+  s.auditState();
 }
 
 }  // namespace

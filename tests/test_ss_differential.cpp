@@ -74,9 +74,9 @@ Outcome runPolicy(const workload::Trace& trace, Policy& policy,
   }
   simulator.run();
   for (JobId id = 0; id < trace.jobs.size(); ++id) {
-    run.firstStart.push_back(simulator.exec(id).firstStart);
-    run.finish.push_back(simulator.exec(id).finish);
-    run.suspendCount.push_back(simulator.exec(id).suspendCount);
+    run.firstStart.push_back(simulator.outcome(id).firstStart);
+    run.finish.push_back(simulator.outcome(id).finish);
+    run.suspendCount.push_back(simulator.outcome(id).suspendCount);
   }
   run.preemptionsCounter =
       simulator.counters().value(obs::Counter::Preemptions);

@@ -10,8 +10,17 @@ guard only trips on genuine regressions, not scheduler jitter.
 
 It also checks that the candidate's cost per event stays flat as the trace
 grows: within each policy of the scaling lane ("lane": "scaling"), the
-largest trace may cost at most 1.2x the smallest per event. Both numbers
-come from the same report, so host speed cancels out of the ratio.
+largest trace may cost at most 1.2x the smallest per event, both for the
+event loop alone ("nsPerEvent") and for the whole run — construction, run
+and metrics collection ("wholeRunNsPerEvent"). Both numbers of a ratio
+come from the same report, so host speed cancels out of it.
+
+Each kernel-sweep policy carries a "reference" block: the same trace run
+through its sps::check reference algorithm. The two replay the same
+schedule, so the candidate's reference lane must dispatch exactly as many
+events as its production ("incremental") lane. A candidate that still names
+the block "rebuild" (the name before the per-event-rebuild classes moved
+into sps::check) was written by an older benchmark and is rejected.
 
 Usage:
   perf_guard.py --baseline BENCH_engine.json --candidate new.json
@@ -22,8 +31,9 @@ a "host" block (CPU model, nproc, compiler, build type); each failure the
 guard reports names the hosts of the reports it compared, so a comparison
 across hosts is visible as one. The host never changes a verdict.
 
-Exit status: 0 when every lane holds (or improves) and the scaling lane is
-flat, 1 on any regression, superlinear scaling or malformed report. Lanes
+Exit status: 0 when every lane holds (or improves), the scaling lane is
+flat and every reference lane agrees, 1 on any regression, superlinear
+scaling, reference disagreement or malformed report. Lanes
 present in only one report are reported but do not fail the guard (the
 benchmark may grow lanes; the baseline catches up when it is next
 regenerated).
@@ -38,6 +48,8 @@ from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.20
 SCALING_LIMIT = 1.20
+# Scaling-lane fields held to SCALING_LIMIT, with how the guard names them.
+SCALING_METRICS = (("nsPerEvent", "loop"), ("wholeRunNsPerEvent", "whole run"))
 
 
 def lanes(report: dict) -> dict[str, float]:
@@ -94,41 +106,70 @@ def compare(baseline: dict, candidate: dict,
                 f"baseline {rate:,.0f}; {hosts_note(baseline, candidate)})")
     for name in sorted(set(cand) - set(base)):
         print(f"note: new lane '{name}' has no baseline (not checked)")
-    return failures + scaling_failures(candidate)
+    return failures + scaling_failures(candidate) + \
+        reference_failures(candidate)
 
 
 def scaling_failures(report: dict) -> list[str]:
     """Flatness check within one report: for each policy of the scaling
-    lane, ns/event at the largest trace over ns/event at the smallest must
-    not exceed SCALING_LIMIT. Policies measured at fewer than two sizes are
-    skipped; a report without a scaling lane passes (older baselines)."""
-    sizes: dict[str, list[tuple[int, float]]] = {}
-    for entry in report.get("policies", []):
-        if entry.get("lane") != "scaling":
-            continue
-        policy = entry.get("scalingPolicy")
-        jobs = entry.get("jobs")
-        ns = entry.get("nsPerEvent")
-        if isinstance(policy, str) and isinstance(jobs, int) and \
-                isinstance(ns, (int, float)) and ns > 0:
-            sizes.setdefault(policy, []).append((jobs, float(ns)))
+    lane and each of SCALING_METRICS, ns/event at the largest trace over
+    ns/event at the smallest must not exceed SCALING_LIMIT. Policies
+    measured at fewer than two sizes, and metrics a report does not carry,
+    are skipped; a report without a scaling lane passes (older baselines)."""
     failures = []
-    for policy, points in sorted(sizes.items()):
-        if len(points) < 2:
-            continue
-        points.sort()
-        (small_jobs, small_ns), (big_jobs, big_ns) = points[0], points[-1]
-        ratio = big_ns / small_ns
-        verdict = "ok" if ratio <= SCALING_LIMIT else "SUPERLINEAR"
-        print(f"scaling {policy}: {small_ns:,.0f} ns/event at {small_jobs:,} "
-              f"jobs, {big_ns:,.0f} at {big_jobs:,} ({ratio:.2f}x, limit "
-              f"{SCALING_LIMIT:.2f}x, {verdict})")
-        if ratio > SCALING_LIMIT:
+    for field, what in SCALING_METRICS:
+        sizes: dict[str, list[tuple[int, float]]] = {}
+        for entry in report.get("policies", []):
+            if entry.get("lane") != "scaling":
+                continue
+            policy = entry.get("scalingPolicy")
+            jobs = entry.get("jobs")
+            ns = entry.get(field)
+            if isinstance(policy, str) and isinstance(jobs, int) and \
+                    isinstance(ns, (int, float)) and ns > 0:
+                sizes.setdefault(policy, []).append((jobs, float(ns)))
+        for policy, points in sorted(sizes.items()):
+            if len(points) < 2:
+                continue
+            points.sort()
+            (small_jobs, small_ns), (big_jobs, big_ns) = points[0], points[-1]
+            ratio = big_ns / small_ns
+            verdict = "ok" if ratio <= SCALING_LIMIT else "SUPERLINEAR"
+            print(f"scaling {policy} ({what}): {small_ns:,.0f} ns/event at "
+                  f"{small_jobs:,} jobs, {big_ns:,.0f} at {big_jobs:,} "
+                  f"({ratio:.2f}x, limit {SCALING_LIMIT:.2f}x, {verdict})")
+            if ratio > SCALING_LIMIT:
+                failures.append(
+                    f"scaling lane '{policy}' ({what}) is superlinear: "
+                    f"{big_ns:,.0f} ns/event at {big_jobs:,} jobs is "
+                    f"{ratio:.2f}x the {small_ns:,.0f} at {small_jobs:,} "
+                    f"(limit {SCALING_LIMIT:.2f}x; host: "
+                    f"{host_label(report)})")
+    return failures
+
+
+def reference_failures(report: dict) -> list[str]:
+    """Within one report: every policy's "reference" lane must dispatch as
+    many events as its production lane (they replay the same schedule), and
+    no policy may carry the retired "rebuild" block."""
+    failures = []
+    for entry in report.get("policies", []):
+        name = entry.get("policy")
+        if "rebuild" in entry:
             failures.append(
-                f"scaling lane '{policy}' is superlinear: {big_ns:,.0f} "
-                f"ns/event at {big_jobs:,} jobs is {ratio:.2f}x the "
-                f"{small_ns:,.0f} at {small_jobs:,} "
-                f"(limit {SCALING_LIMIT:.2f}x; host: {host_label(report)})")
+                f"lane '{name}' carries a 'rebuild' block: the report was "
+                f"written before the reference lane was renamed; regenerate "
+                f"it")
+        ref = entry.get("reference")
+        if not isinstance(ref, dict):
+            continue
+        ref_events = ref.get("events")
+        inc_events = entry.get("incremental", {}).get("events")
+        if ref_events != inc_events:
+            failures.append(
+                f"lane '{name}': reference dispatched {ref_events} events, "
+                f"production {inc_events} — they must replay the same "
+                f"schedule")
     return failures
 
 
@@ -186,6 +227,31 @@ def selftest() -> int:
         (scaling({"easy": [(800_000, 900.0)]}), 0, "one size (skipped)"),
         (base, 0, "no scaling lane"),
     ]
+
+    def whole_run(curves: dict[str, list[tuple[int, float, float]]]) -> dict:
+        """Scaling entries with (jobs, loop ns, whole-run ns) per point."""
+        return {"policies": [
+            {"policy": f"{p}@{jobs // 1000}k", "lane": "scaling",
+             "scalingPolicy": p, "jobs": jobs, "nsPerEvent": loop,
+             "wholeRunNsPerEvent": whole,
+             "incremental": {"eventsPerSec": 1e9 / loop}}
+            for p, points in curves.items() for jobs, loop, whole in points]}
+
+    scaling_cases += [
+        (whole_run({"easy": [(50_000, 500.0, 700.0),
+                             (800_000, 540.0, 820.0)],
+                    "fcfs": [(50_000, 200.0, 400.0),
+                             (800_000, 210.0, 470.0)]}), 0,
+         "whole run flat"),
+        (whole_run({"easy": [(50_000, 500.0, 700.0),
+                             (800_000, 540.0, 820.0)],
+                    "fcfs": [(50_000, 200.0, 400.0),
+                             (800_000, 210.0, 530.0)]}), 1,
+         "fcfs whole run superlinear, loop flat"),
+        (whole_run({"easy": [(50_000, 500.0, 700.0),
+                             (800_000, 650.0, 900.0)]}), 2,
+         "easy loop and whole run superlinear"),
+    ]
     for candidate, expected, label in scaling_cases:
         got = len(scaling_failures(candidate))
         status = "pass" if got == expected else "FAIL"
@@ -216,6 +282,27 @@ def selftest() -> int:
         good = len(failures) == 1 and all(e in failures[0] for e in expected)
         print(f"selftest [hosts: {expected[-1]}]: "
               f"{'pass' if good else 'FAIL'}")
+        ok = ok and good
+    # The reference lane: same events as production, and the retired
+    # "rebuild" name is rejected.
+    def sweep(ref_events: int, block: str = "reference") -> dict:
+        return {"policies": [
+            {"policy": "easy", block: {"eventsPerSec": 100_000.0,
+                                       "events": ref_events},
+             "incremental": {"eventsPerSec": 1_000_000.0, "events": 16_000}},
+            {"policy": "fcfs", "incremental": {"eventsPerSec": 1e6}}]}
+
+    reference_cases = [
+        (sweep(16_000), 0, "agrees"),
+        (sweep(15_998), 1, "event counts differ"),
+        (sweep(16_000, "rebuild"), 1, "retired 'rebuild' name"),
+    ]
+    for candidate, expected, label in reference_cases:
+        got = len(reference_failures(candidate))
+        good = got == expected and \
+            len(compare(candidate, candidate)) == expected
+        print(f"selftest [reference: {label}]: expected {expected} "
+              f"failure(s), got {got} — {'pass' if good else 'FAIL'}")
         ok = ok and good
     # A superlinear curve fails the full guard even when every lane holds
     # against the baseline.
